@@ -19,7 +19,7 @@ from .partition import (PartitionTable, PinnedInstance, backward_table,
                         pinned_via_convolution, pinning_distribution,
                         rec1_readings, rec2_rhs, translated_interface,
                         verify_average_representation, verify_rec1, verify_rec2)
-from .qpoly import (ExactRational, LaurentPoly, NotDivisible, ZeroToNegativePower,
+from .qpoly import (LaurentPoly, NotDivisible, ZeroToNegativePower,
                     qsquare_factorial_product)
 from .sampler import (SamplerState, estimate_crossing, sample_path,
                       sample_paths, sample_step_matrix)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bond", "CorrelationQuery", "CustomTable", "DegenerateEnsemble",
-    "EnsembleTooLarge", "ExactRational", "HamiltonianOracle", "InterfaceXXZ",
+    "EnsembleTooLarge", "HamiltonianOracle", "InterfaceXXZ",
     "LatticePath", "LaurentPoly", "NotDivisible", "OutOfDomain",
     "PartitionTable", "PinnedInstance", "PinnedRep1", "PinnedRep2", "Point",
     "SamplerState", "SpinConfig", "WeightScheme", "ZeroToNegativePower",

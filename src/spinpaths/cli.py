@@ -135,11 +135,12 @@ def cmd_sample(args) -> int:
     state = sampler.SamplerState(scheme, parse_point(args.frm), parse_point(args.to),
                                  q0, args.seed)
     counts: dict[str, int] = {}
-    for _ in range(args.n):
-        path = sampler.sample_path(state)
-        text = path.text()
-        counts[text] = counts.get(text, 0) + 1
-        print(text)
+    # one call even for --n <= 0, so the kernel's own check rejects a negative count
+    for done in range(0, max(args.n, 1), sampler.BLOCK):
+        for path in sampler.sample_paths(state, min(sampler.BLOCK, args.n - done)):
+            text = path.text()
+            counts[text] = counts.get(text, 0) + 1
+            print(text)
     summary = {"schema": SCHEMA_SAMPLE, "n": args.n, "seed": args.seed,
                "scheme": args.scheme, "q": str(q0), "distinct": len(counts)}
     print(json.dumps(summary), file=sys.stderr)
@@ -363,9 +364,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

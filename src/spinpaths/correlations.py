@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Point, horizontal_bond
+from .lattice import Point, diagonal, horizontal_bond
 from .partition import (ORIGIN, PinnedInstance, backward_table, forward_table,
                         partition_dp, rep2_start)
 from .qpoly import LaurentPoly, ONE, ZERO
@@ -87,7 +87,7 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
         def bond_sum(radius: int, fwd, bwd, lo: Point, hi: Point) -> Fraction:
             # weighted sum over horizontal steps ending on the given sphere
             acc = Fraction(0)
-            for head in _sphere_points(radius, lo, hi):
+            for head in diagonal(radius, lo, hi):
                 tail = head.translate(-1, 0)
                 if tail.i < lo.i:
                     continue
@@ -101,13 +101,3 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
             totals[x] += z_back * bond_sum(x, fore_fwd, fore_bwd, ORIGIN, end)
 
     return [(x, totals[x] / z) for x in range(-inst.L, inst.K + 1)]
-
-
-def _sphere_points(radius: int, lo: Point, hi: Point) -> list[Point]:
-    """Points with i+j = radius inside the rectangle [lo, hi]."""
-    pts = []
-    for i in range(lo.i, hi.i + 1):
-        j = radius - i
-        if lo.j <= j <= hi.j:
-            pts.append(Point(i, j))
-    return pts

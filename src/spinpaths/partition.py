@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Point, enumerate_paths, horizontal_bond, sphere, vertical_bond
+from .lattice import Point, diagonal, enumerate_paths, horizontal_bond, vertical_bond
 from .qpoly import LaurentPoly, NotDivisible, ONE, ZERO, qsquare_factorial_product
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
@@ -48,64 +48,52 @@ class PinnedInstance:
 
 
 class PartitionTable:
-    """Per-point partition values over a rectangle.
+    """Per-point partition values over a rectangle; immutable after construction."""
 
-    direction 'forward': values[Q] = Z(origin, Q) for the table origin I.
-    direction 'backward': values[Q] = Z(Q, origin) for the table origin F.
-    Immutable after construction.
-    """
+    __slots__ = ("values",)
 
-    __slots__ = ("scheme", "origin", "direction", "values")
-
-    def __init__(self, scheme: WeightScheme, origin: Point, direction: str,
-                 values: dict[Point, LaurentPoly]):
-        self.scheme = scheme
-        self.origin = origin
-        self.direction = direction
+    def __init__(self, values: dict[Point, LaurentPoly]):
         self.values = values
 
     def __getitem__(self, point: Point) -> LaurentPoly:
         return self.values.get(point, ZERO)
 
 
-def forward_table(scheme: WeightScheme, start: Point, end: Point) -> PartitionTable:
-    """Z(start, Q) for every Q in the rectangle [start, end]."""
+def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int) -> PartitionTable:
+    """Sphere sweep outward from one corner of the rectangle [start, end].
+
+    step +1 grows from start, so values[Q] = Z(start, Q); step -1 grows
+    from end, so values[Q] = Z(Q, end).  Each diagonal i+j = const reads
+    only the one swept before it.
+    """
     values: dict[Point, LaurentPoly] = {}
     if end.dominates(start):
-        values[start] = ONE
+        origin = start if step == 1 else end
+        values[origin] = ONE
         total = (end.i - start.i) + (end.j - start.j)
         for radius in range(1, total + 1):
-            for q in sphere(start, radius):
-                if q.i > end.i or q.j > end.j:
-                    continue
+            for q in diagonal(origin.i + origin.j + step * radius, start, end):
                 acc = ZERO
-                if q.i > start.i:
-                    tail = q.translate(-1, 0)
-                    acc = acc + scheme.bond_weight(horizontal_bond(tail)) * values[tail]
-                if q.j > start.j:
-                    tail = q.translate(0, -1)
-                    acc = acc + scheme.bond_weight(vertical_bond(tail)) * values[tail]
+                if q.i != origin.i:
+                    prev = q.translate(-step, 0)
+                    bond = horizontal_bond(prev if step == 1 else q)
+                    acc = acc + scheme.bond_weight(bond) * values[prev]
+                if q.j != origin.j:
+                    prev = q.translate(0, -step)
+                    bond = vertical_bond(prev if step == 1 else q)
+                    acc = acc + scheme.bond_weight(bond) * values[prev]
                 values[q] = acc
-    return PartitionTable(scheme, start, "forward", values)
+    return PartitionTable(values)
+
+
+def forward_table(scheme: WeightScheme, start: Point, end: Point) -> PartitionTable:
+    """Z(start, Q) for every Q in the rectangle [start, end]."""
+    return _sweep(scheme, start, end, 1)
 
 
 def backward_table(scheme: WeightScheme, start: Point, end: Point) -> PartitionTable:
     """Z(Q, end) for every Q in the rectangle [start, end]."""
-    values: dict[Point, LaurentPoly] = {}
-    if end.dominates(start):
-        values[end] = ONE
-        total = (end.i - start.i) + (end.j - start.j)
-        for radius in range(1, total + 1):
-            for q in sphere(end, radius, "backward"):
-                if q.i < start.i or q.j < start.j:
-                    continue
-                acc = ZERO
-                if q.i < end.i:
-                    acc = acc + scheme.bond_weight(horizontal_bond(q)) * values[q.translate(1, 0)]
-                if q.j < end.j:
-                    acc = acc + scheme.bond_weight(vertical_bond(q)) * values[q.translate(0, 1)]
-                values[q] = acc
-    return PartitionTable(scheme, end, "backward", values)
+    return _sweep(scheme, start, end, -1)
 
 
 def partition_dp(scheme: WeightScheme, start: Point, end: Point) -> LaurentPoly:

@@ -13,11 +13,7 @@ share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-# Exact rational scalars: reduced form, positive denominator, arbitrary
-# precision.  fractions.Fraction guarantees all three.
-ExactRational = Fraction
+from typing import Mapping
 
 
 class NotDivisible(ArithmeticError):
@@ -267,12 +263,4 @@ def qsquare_factorial_product(k: int) -> LaurentPoly:
     result = LaurentPoly.one()
     for i in range(1, k + 1):
         result = result * LaurentPoly({0: 1, 2 * i: -1})
-    return result
-
-
-def product(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """Product of an iterable of polynomials; empty product is 1."""
-    result = LaurentPoly.one()
-    for p in polys:
-        result = result * p
     return result

@@ -9,6 +9,7 @@ negligible against Monte Carlo error).  The generator is counter-based
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 
@@ -16,20 +17,27 @@ import numpy as np
 
 from .correlations import DegenerateEnsemble
 from .lattice import H_STEP, LatticePath, Point, V_STEP, horizontal_bond, vertical_bond
-from .partition import PartitionTable, backward_table
+from .partition import backward_table
 from .weights import WeightScheme
+
+
+# rows drawn per pass of the batch kernel: bounds the uniform block it holds
+# and the path list the CLI holds, whatever the number of samples
+BLOCK = 4096
 
 
 class SamplerState:
     """Sampling context for one rectangle ensemble.
 
-    Holds the exact backward table, the per-point horizontal-step
-    probabilities (formed as exact rationals, converted to double once),
-    and the Philox stream.
+    Holds the per-point horizontal-step probabilities (formed as exact
+    rationals from the backward table, converted to double once) and the
+    Philox stream.
     """
 
     def __init__(self, scheme: WeightScheme, start: Point, end: Point, q0, seed: int):
         q0 = Fraction(q0)
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed {seed} is out of range; it must lie in [0, 2**128)")
         if not end.dominates(start):
             raise DegenerateEnsemble(f"empty ensemble {start} -> {end}")
         self.scheme = scheme
@@ -37,8 +45,8 @@ class SamplerState:
         self.end = end
         self.q0 = q0
         self.seed = seed
-        self.backward: PartitionTable = backward_table(scheme, start, end)
-        if self.backward[start].evaluate(q0) == 0:
+        backward = backward_table(scheme, start, end)
+        if backward[start].evaluate(q0) == 0:
             raise DegenerateEnsemble(f"Z{start}->{end} = 0 at q = {q0}")
 
         di = end.i - start.i
@@ -49,17 +57,17 @@ class SamplerState:
                 q_pt = Point(start.i + a, start.j + b)
                 if q_pt == end:
                     continue
-                z_here = self.backward[q_pt].evaluate(q0)
+                z_here = backward[q_pt].evaluate(q0)
                 if z_here == 0:
                     continue  # unreachable at this q; probability never consulted
                 p_h = Fraction(0)
                 p_v = Fraction(0)
                 if a < di:
                     w = scheme.bond_weight(horizontal_bond(q_pt)).evaluate(q0)
-                    p_h = w * self.backward[q_pt.translate(1, 0)].evaluate(q0) / z_here
+                    p_h = w * backward[q_pt.translate(1, 0)].evaluate(q0) / z_here
                 if b < dj:
                     w = scheme.bond_weight(vertical_bond(q_pt)).evaluate(q0)
-                    p_v = w * self.backward[q_pt.translate(0, 1)].evaluate(q0) / z_here
+                    p_v = w * backward[q_pt.translate(0, 1)].evaluate(q0) / z_here
                 if p_h + p_v != 1:
                     raise AssertionError(f"step probabilities at {q_pt} sum to {p_h + p_v}")
                 prob_h[a, b] = float(p_h)
@@ -72,67 +80,50 @@ class SamplerState:
         Stream index k jumps the Philox counter k+1 times (2^128 draws per
         jump), so workers never overlap each other or the base stream.
         """
-        clone = object.__new__(SamplerState)
-        clone.scheme = self.scheme
-        clone.start = self.start
-        clone.end = self.end
-        clone.q0 = self.q0
-        clone.seed = self.seed
-        clone.backward = self.backward
-        clone.prob_h = self.prob_h
+        clone = copy.copy(self)
         clone.rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(index + 1))
         return clone
 
 
-def sample_path(state: SamplerState) -> LatticePath:
-    """Draw one path exactly from w(p)/Z, advancing the state's stream."""
-    a, b = 0, 0
-    di = state.end.i - state.start.i
-    dj = state.end.j - state.start.j
-    word = []
-    for _ in range(di + dj):
-        if a == di:
-            step = V_STEP
-        elif b == dj:
-            step = H_STEP
-        else:
-            step = H_STEP if state.rng.random() < state.prob_h[a, b] else V_STEP
-        if step == H_STEP:
-            a += 1
-        else:
-            b += 1
-        word.append(step)
-    return LatticePath(state.start, "".join(word))
-
-
 def sample_step_matrix(state: SamplerState, samples: int) -> np.ndarray:
-    """Vectorized batch draw: samples x total_steps boolean matrix, True = H.
+    """Batch draw: samples x total_steps boolean matrix, True = H.
 
-    Row r is the step word of the r-th path; all rows use the state's
-    stream in one deterministic order.
+    Row r is the step word of the r-th path.  Every step takes one uniform
+    and the rows take them in turn, so the stream a path uses does not
+    depend on how the draws are batched.
     """
+    if samples < 0:
+        raise ValueError(f"sample count {samples} is negative")
     di = state.end.i - state.start.i
     dj = state.end.j - state.start.j
-    total = di + dj
-    ai = np.zeros(samples, dtype=np.int64)
-    bj = np.zeros(samples, dtype=np.int64)
-    out = np.zeros((samples, total), dtype=bool)
-    for t in range(total):
-        p = state.prob_h[ai, bj]
-        take_h = state.rng.random(samples) < p
-        # exhausted coordinates force the other step
-        take_h[ai == di] = False
-        take_h[bj == dj] = True
-        out[:, t] = take_h
-        ai = ai + take_h
-        bj = bj + (~take_h)
+    out = np.empty((samples, di + dj), dtype=bool)
+    for lo in range(0, samples, BLOCK):
+        block = out[lo:lo + BLOCK]
+        uniform = state.rng.random(block.shape)
+        ai = np.zeros(len(block), dtype=np.intp)
+        bj = np.zeros(len(block), dtype=np.intp)
+        for t in range(di + dj):
+            take_h = uniform[:, t] < state.prob_h[ai, bj]
+            # exhausted coordinates force the other step
+            take_h[ai == di] = False
+            take_h[bj == dj] = True
+            block[:, t] = take_h
+            ai += take_h
+            bj += ~take_h
     return out
 
 
 def sample_paths(state: SamplerState, samples: int) -> list[LatticePath]:
+    """Draw `samples` paths exactly from w(p)/Z, advancing the state's stream."""
     matrix = sample_step_matrix(state, samples)
-    return [LatticePath(state.start, "".join(H_STEP if h else V_STEP for h in row))
-            for row in matrix]
+    total = matrix.shape[1]
+    words = np.where(matrix, ord(H_STEP), ord(V_STEP)).astype(np.uint8).tobytes().decode()
+    return [LatticePath(state.start, words[r * total:(r + 1) * total]) for r in range(samples)]
+
+
+def sample_path(state: SamplerState) -> LatticePath:
+    """Draw one path exactly from w(p)/Z, advancing the state's stream."""
+    return sample_paths(state, 1)[0]
 
 
 def estimate_crossing(state: SamplerState, point: Point, samples: int) -> tuple[float, float]:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from spinpaths import LatticePath, LaurentPoly
+from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, Point, SamplerState,
+                       sample_paths)
 from spinpaths.cli import main, parse_rational
+from spinpaths.sampler import BLOCK
 
 
 def run(capsys, *argv):
@@ -106,6 +108,30 @@ class TestSampleCommand:
         _, out2, _ = run(capsys, "sample", "--scheme", "interface", "--to", "2,2",
                          "--q", "1/2", "--seed", "12", "--n", "6")
         assert out1 == out2
+
+    @pytest.mark.parametrize("n", [5, BLOCK + 3])
+    def test_prints_the_blockwise_batch_draws(self, capsys, n):
+        code, out, _ = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
+                           "--q", "1/2", "--seed", "21", "--n", str(n))
+        assert code == 0
+        state = SamplerState(InterfaceXXZ(), Point(0, 0), Point(2, 1), Fraction(1, 2), 21)
+        expected = [path.text() for lo in range(0, n, BLOCK)
+                    for path in sample_paths(state, min(BLOCK, n - lo))]
+        assert out.splitlines() == expected
+        assert len(expected) == n
+
+    def test_negative_count(self, capsys):
+        code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
+                             "--q", "1/2", "--n", "-3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "-3" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range(self, capsys, seed):
+        code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
+                             "--q", "1/2", "--seed", str(seed))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"seed {seed} " in err
 
 
 class TestHamiltonianCommand:

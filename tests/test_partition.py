@@ -4,6 +4,7 @@ pinned-chain representations, and the recursion identities."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
                        PinnedRep1, PinnedRep2, Point, backward_table,
@@ -83,6 +84,37 @@ class TestPartitionTables:
                 q = Point(i, j)
                 assert fwd[q] == partition_bruteforce(scheme, start, q)
                 assert bwd[q] == partition_bruteforce(scheme, q, end)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_cell_matches_enumeration(self, data):
+        start = Point(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+        # a side of -1 makes the rectangle empty
+        end = start.translate(data.draw(st.integers(-1, 6)), data.draw(st.integers(-1, 6)))
+        cells = [Point(i, j) for i in range(start.i, end.i + 1)
+                 for j in range(start.j, end.j + 1)]
+        kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+        if kind == "interface":
+            scheme = InterfaceXXZ()
+        elif kind == "rep2":
+            scheme = PinnedRep2()
+        elif kind == "rep1":
+            K = data.draw(st.integers(0, 3))
+            # rep1 is defined up to radius K+L+1; keep every bond head inside it
+            L = max(data.draw(st.integers(0, 3)), end.i + end.j - K - 1)
+            scheme = PinnedRep1(K=K, L=L)
+        else:
+            bonds = [make(q) for q in cells for make in (horizontal_bond, vertical_bond)]
+            monomial = st.builds(lambda c, e: poly({e: c}), st.integers(-2, 2),
+                                 st.integers(-3, 3))
+            table = data.draw(st.dictionaries(st.sampled_from(bonds), monomial)) if bonds else {}
+            scheme = CustomTable(table=table)
+        fwd = forward_table(scheme, start, end)
+        bwd = backward_table(scheme, start, end)
+        assert len(fwd.values) == len(bwd.values) == len(cells)
+        for q in cells:
+            assert fwd[q] == partition_bruteforce(scheme, start, q)
+            assert bwd[q] == partition_bruteforce(scheme, q, end)
 
 
 class TestClosedForm:

@@ -51,12 +51,29 @@ class TestSamplePath:
         assert [p.steps for p in sample_paths(a, 20)] == \
             [p.steps for p in sample_paths(b, 20)]
 
+    def test_single_draws_are_the_batch_rows(self):
+        a = make_state(end=Point(3, 2), seed=5)
+        b = make_state(end=Point(3, 2), seed=5)
+        assert [sample_path(a) for _ in range(25)] == sample_paths(b, 25)
+        # and the streams stay in step afterwards
+        assert sample_paths(a, 7) == [sample_path(b) for _ in range(7)]
+
     def test_substreams_are_disjoint(self):
         base = make_state(end=Point(3, 3), seed=7)
         other = base.substream(0)
+        assert other.prob_h is base.prob_h
         seq_base = [sample_path(base).steps for _ in range(30)]
         seq_other = [sample_path(other).steps for _ in range(30)]
         assert seq_base != seq_other
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            make_state(seed=seed)
+
+    def test_negative_sample_count(self):
+        with pytest.raises(ValueError, match="-3"):
+            sample_step_matrix(make_state(), -3)
 
 
 class TestWholePathDistribution:
