@@ -3,7 +3,9 @@
 Subcommands: partition, closed-form, correlate, profile, norm, verify,
 sample, hamiltonian.  Exact values are emitted as JSON with decimal-string
 numerators/denominators/coefficients; any decimal rendering alongside is
-advisory only.  Exit codes: 0 success, 1 failed identity, 2 usage error.
+advisory only.  Exit codes: 0 success, 1 failed identity (in a report or
+an internal check), 2 usage error (including q = 0 where a weight or value
+has a negative power of q).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from . import correlations, partition, sampler, spin
 from .lattice import Point, horizontal_bond
 from .partition import PinnedInstance
-from .qpoly import LaurentPoly
+from .qpoly import LaurentPoly, ZeroToNegativePower
 from .weights import CustomTable, InterfaceXXZ, scheme_from_name
 
 SCHEMA_POLY = "spinpaths/polynomial/1"
@@ -364,9 +366,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ZeroToNegativePower) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except partition.InternalIdentityFailure as exc:
+        print(f"error: internal identity failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

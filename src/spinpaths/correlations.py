@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Point, diagonal, horizontal_bond
-from .partition import (ORIGIN, PinnedInstance, backward_table, forward_table,
-                        partition_dp, rep2_start)
-from .qpoly import LaurentPoly, ONE, ZERO
+from .partition import (ORIGIN, PinnedInstance, backward_table, evaluated_weight,
+                        forward_table, partition_dp, rep2_start)
+from .qpoly import LaurentPoly, ONE
 from .weights import PinnedRep2, WeightScheme
 
 
@@ -29,28 +29,28 @@ class CorrelationQuery:
     waypoints: tuple[Point, ...] = ()
 
 
-def conditioned_partition(query: CorrelationQuery) -> LaurentPoly:
-    """Weighted sum over paths through all waypoints, in order.
+def conditioned_partition(query: CorrelationQuery, q0=None) -> LaurentPoly | Fraction:
+    """Weighted sum over paths through all waypoints, in order, at q = q0 if given.
 
     Factorizes as the product of segment partition functions; any empty
     segment (consecutive points that do not dominate) makes it 0.
     """
     stops = [query.start, *query.waypoints, query.end]
-    value = ONE
+    value = ONE if q0 is None else Fraction(1)
     for a, b in zip(stops, stops[1:]):
-        value = value * partition_dp(query.scheme, a, b)
+        value = value * partition_dp(query.scheme, a, b, q0)
         if not value:
-            return ZERO
+            break
     return value
 
 
 def crossing_probability(query: CorrelationQuery, q0) -> Fraction:
     """Probability that a path drawn from the ensemble visits every waypoint."""
     q0 = Fraction(q0)
-    z = partition_dp(query.scheme, query.start, query.end).evaluate(q0)
+    z = partition_dp(query.scheme, query.start, query.end, q0)
     if z == 0:
         raise DegenerateEnsemble(f"Z({query.start},{query.end}) = 0 at q = {q0}")
-    return conditioned_partition(query).evaluate(q0) / z
+    return conditioned_partition(query, q0) / z
 
 
 def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]:
@@ -67,6 +67,17 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
     scheme = PinnedRep2()
+    weight = evaluated_weight(scheme, q0)
+
+    def bond_sum(radius: int, fwd, bwd, lo: Point, hi: Point) -> Fraction:
+        # weighted sum over horizontal steps ending on the given sphere
+        acc = Fraction(0)
+        for head in diagonal(radius, lo, hi):
+            tail = head.translate(-1, 0)
+            if tail.i < lo.i:
+                continue
+            acc += fwd[tail] * weight(horizontal_bond(tail)) * bwd[head]
+        return acc
 
     totals = {x: Fraction(0) for x in range(-inst.L, inst.K + 1)}
     z = Fraction(0)
@@ -76,25 +87,13 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
             continue
         start = rep2_start(inst, a)
         end = Point(n_fwd, inst.K - n_fwd)
-        back_fwd = forward_table(scheme, start, ORIGIN)
-        back_bwd = backward_table(scheme, start, ORIGIN)
-        fore_fwd = forward_table(scheme, ORIGIN, end)
-        fore_bwd = backward_table(scheme, ORIGIN, end)
-        z_back = back_fwd[ORIGIN].evaluate(q0)
-        z_fore = fore_fwd[end].evaluate(q0)
+        back_fwd = forward_table(scheme, start, ORIGIN, q0)
+        back_bwd = backward_table(scheme, start, ORIGIN, q0)
+        fore_fwd = forward_table(scheme, ORIGIN, end, q0)
+        fore_bwd = backward_table(scheme, ORIGIN, end, q0)
+        z_back = back_fwd[ORIGIN]
+        z_fore = fore_fwd[end]
         z += z_back * z_fore
-
-        def bond_sum(radius: int, fwd, bwd, lo: Point, hi: Point) -> Fraction:
-            # weighted sum over horizontal steps ending on the given sphere
-            acc = Fraction(0)
-            for head in diagonal(radius, lo, hi):
-                tail = head.translate(-1, 0)
-                if tail.i < lo.i:
-                    continue
-                w = scheme.bond_weight(horizontal_bond(tail)).evaluate(q0)
-                acc += fwd[tail].evaluate(q0) * w * bwd[head].evaluate(q0)
-            return acc
-
         for x in range(-inst.L, 0 + 1):
             totals[x] += bond_sum(x, back_fwd, back_bwd, start, ORIGIN) * z_fore
         for x in range(1, inst.K + 1):

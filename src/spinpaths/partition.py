@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .lattice import Point, diagonal, enumerate_paths, horizontal_bond, vertical_bond
+from .lattice import Bond, Point, diagonal, enumerate_paths, horizontal_bond, vertical_bond
 from .qpoly import LaurentPoly, NotDivisible, ONE, ZERO, qsquare_factorial_product
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
@@ -48,59 +49,82 @@ class PinnedInstance:
 
 
 class PartitionTable:
-    """Per-point partition values over a rectangle; immutable after construction."""
+    """Per-point partition values over a rectangle; immutable after construction.
 
-    __slots__ = ("values",)
+    The values are Laurent polynomials, or exact Fractions when the table
+    was swept at a fixed q; points off the rectangle read as that ring's 0.
+    """
 
-    def __init__(self, values: dict[Point, LaurentPoly]):
+    __slots__ = ("values", "zero")
+
+    def __init__(self, values: dict[Point, LaurentPoly | Fraction], zero: LaurentPoly | Fraction):
         self.values = values
+        self.zero = zero
 
-    def __getitem__(self, point: Point) -> LaurentPoly:
-        return self.values.get(point, ZERO)
+    def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
+        return self.values.get(point, self.zero)
 
 
-def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int) -> PartitionTable:
+def evaluated_weight(scheme: WeightScheme, q0: Fraction) -> Callable[[Bond], Fraction]:
+    """The scheme's bond weight at q = q0, evaluating each distinct weight once."""
+    cache: dict[LaurentPoly, Fraction] = {}
+
+    def weight(bond: Bond) -> Fraction:
+        w = scheme.bond_weight(bond)
+        value = cache.get(w)
+        if value is None:
+            value = cache[w] = w.evaluate(q0)
+        return value
+
+    return weight
+
+
+def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> PartitionTable:
     """Sphere sweep outward from one corner of the rectangle [start, end].
 
     step +1 grows from start, so values[Q] = Z(start, Q); step -1 grows
     from end, so values[Q] = Z(Q, end).  Each diagonal i+j = const reads
-    only the one swept before it.
+    only the one swept before it.  With q0 given, every value is Z at
+    q = q0, an exact Fraction; otherwise it is the Laurent polynomial.
     """
-    values: dict[Point, LaurentPoly] = {}
+    if q0 is None:
+        weight, zero, one = scheme.bond_weight, ZERO, ONE
+    else:
+        weight, zero, one = evaluated_weight(scheme, Fraction(q0)), Fraction(0), Fraction(1)
+    values: dict[Point, LaurentPoly | Fraction] = {}
     if end.dominates(start):
         origin = start if step == 1 else end
-        values[origin] = ONE
+        values[origin] = one
         total = (end.i - start.i) + (end.j - start.j)
         for radius in range(1, total + 1):
             for q in diagonal(origin.i + origin.j + step * radius, start, end):
-                acc = ZERO
+                acc = zero
                 if q.i != origin.i:
                     prev = q.translate(-step, 0)
                     bond = horizontal_bond(prev if step == 1 else q)
-                    acc = acc + scheme.bond_weight(bond) * values[prev]
+                    acc = acc + weight(bond) * values[prev]
                 if q.j != origin.j:
                     prev = q.translate(0, -step)
                     bond = vertical_bond(prev if step == 1 else q)
-                    acc = acc + scheme.bond_weight(bond) * values[prev]
+                    acc = acc + weight(bond) * values[prev]
                 values[q] = acc
-    return PartitionTable(values)
+    return PartitionTable(values, zero)
 
 
-def forward_table(scheme: WeightScheme, start: Point, end: Point) -> PartitionTable:
-    """Z(start, Q) for every Q in the rectangle [start, end]."""
-    return _sweep(scheme, start, end, 1)
+def forward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:
+    """Z(start, Q) for every Q in the rectangle [start, end], at q = q0 if given."""
+    return _sweep(scheme, start, end, 1, q0)
 
 
-def backward_table(scheme: WeightScheme, start: Point, end: Point) -> PartitionTable:
-    """Z(Q, end) for every Q in the rectangle [start, end]."""
-    return _sweep(scheme, start, end, -1)
+def backward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:
+    """Z(Q, end) for every Q in the rectangle [start, end], at q = q0 if given."""
+    return _sweep(scheme, start, end, -1, q0)
 
 
-def partition_dp(scheme: WeightScheme, start: Point, end: Point) -> LaurentPoly:
-    """Z(start, end) by the sphere sweep; 0 when the rectangle is empty."""
-    if not end.dominates(start):
-        return ZERO
-    return forward_table(scheme, start, end)[end]
+def partition_dp(scheme: WeightScheme, start: Point, end: Point,
+                 q0=None) -> LaurentPoly | Fraction:
+    """Z(start, end) by the sphere sweep, at q = q0 if given; 0 when the rectangle is empty."""
+    return forward_table(scheme, start, end, q0)[end]
 
 
 def partition_bruteforce(scheme: WeightScheme, start: Point, end: Point) -> LaurentPoly:
@@ -269,13 +293,13 @@ def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]
         raise ValueError("q0 must lie in (0, 1)")
     scheme = PinnedRep1(K=inst.K, L=inst.L)
     end = Point(inst.N, inst.M)
-    fwd = forward_table(scheme, ORIGIN, end)
-    bwd = backward_table(scheme, ORIGIN, end)
-    z = fwd[end].evaluate(q0)
+    fwd = forward_table(scheme, ORIGIN, end, q0)
+    bwd = backward_table(scheme, ORIGIN, end, q0)
+    z = fwd[end]
     out = []
     for n in range(max(0, inst.K - inst.M), min(inst.K, inst.N) + 1):
         q_pt = Point(n, inst.K - n)
-        out.append((n, fwd[q_pt].evaluate(q0) * bwd[q_pt].evaluate(q0) / z))
+        out.append((n, fwd[q_pt] * bwd[q_pt] / z))
     return out
 
 

@@ -33,7 +33,8 @@ class LaurentPoly:
         clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(e, int) or not isinstance(c, int):
+                if type(e) is bool or type(c) is bool \
+                        or not isinstance(e, int) or not isinstance(c, int):
                     raise TypeError("exponents and coefficients must be int")
                 if c != 0:
                     clean[e] = clean.get(e, 0) + c
@@ -221,6 +222,10 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        terms = self._terms
+        if not terms or (len(terms) == 1 and 0 in terms):
+            # a constant equals its int, so it must hash like it
+            return hash(terms.get(0, 0))
         return hash(tuple(self.items()))
 
     def __repr__(self) -> str:
@@ -248,7 +253,7 @@ def _coerce(value) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, int):
-        return LaurentPoly({0: value})
+        return LaurentPoly({0: int(value)})  # int() turns a bool into the int it equals
     return NotImplemented
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlations import DegenerateEnsemble
 from .lattice import H_STEP, LatticePath, Point, V_STEP, horizontal_bond, vertical_bond
-from .partition import backward_table
+from .partition import InternalIdentityFailure, backward_table, evaluated_weight
 from .weights import WeightScheme
 
 
@@ -45,9 +45,10 @@ class SamplerState:
         self.end = end
         self.q0 = q0
         self.seed = seed
-        backward = backward_table(scheme, start, end)
-        if backward[start].evaluate(q0) == 0:
+        backward = backward_table(scheme, start, end, q0)
+        if backward[start] == 0:
             raise DegenerateEnsemble(f"Z{start}->{end} = 0 at q = {q0}")
+        weight = evaluated_weight(scheme, q0)
 
         di = end.i - start.i
         dj = end.j - start.j
@@ -57,19 +58,18 @@ class SamplerState:
                 q_pt = Point(start.i + a, start.j + b)
                 if q_pt == end:
                     continue
-                z_here = backward[q_pt].evaluate(q0)
+                z_here = backward[q_pt]
                 if z_here == 0:
                     continue  # unreachable at this q; probability never consulted
                 p_h = Fraction(0)
                 p_v = Fraction(0)
                 if a < di:
-                    w = scheme.bond_weight(horizontal_bond(q_pt)).evaluate(q0)
-                    p_h = w * backward[q_pt.translate(1, 0)].evaluate(q0) / z_here
+                    p_h = weight(horizontal_bond(q_pt)) * backward[q_pt.translate(1, 0)] / z_here
                 if b < dj:
-                    w = scheme.bond_weight(vertical_bond(q_pt)).evaluate(q0)
-                    p_v = w * backward[q_pt.translate(0, 1)].evaluate(q0) / z_here
+                    p_v = weight(vertical_bond(q_pt)) * backward[q_pt.translate(0, 1)] / z_here
                 if p_h + p_v != 1:
-                    raise AssertionError(f"step probabilities at {q_pt} sum to {p_h + p_v}")
+                    raise InternalIdentityFailure(
+                        f"step probabilities at {q_pt} sum to {p_h + p_v}")
                 prob_h[a, b] = float(p_h)
         self.prob_h = prob_h
         self.rng = np.random.Generator(np.random.Philox(key=seed))

@@ -7,6 +7,7 @@ import pytest
 
 from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, Point, SamplerState,
                        sample_paths)
+from spinpaths import sampler
 from spinpaths.cli import main, parse_rational
 from spinpaths.sampler import BLOCK
 
@@ -206,6 +207,30 @@ class TestUsageErrors:
                            "--to", "north")
         assert code == 2
         assert "point" in err
+
+
+class TestCleanExits:
+    @pytest.mark.parametrize("command", ["correlate", "sample"])
+    def test_q_zero_with_negative_powers(self, capsys, command):
+        # bonds left of the anti-diagonal weigh negative powers of q
+        code, out, err = run(capsys, command, "--scheme", "interface", "--from=-2,-2",
+                             "--to=2,2", "--q", "0")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "q = 0" in err
+
+    def test_internal_failure_exits_one(self, capsys, monkeypatch):
+        real = sampler.backward_table
+
+        def corrupted(scheme, start, end, q0=None):
+            table = real(scheme, start, end, q0)
+            table.values[start] += 1
+            return table
+
+        monkeypatch.setattr(sampler, "backward_table", corrupted)
+        code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
+                             "--q", "1/2")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: internal identity failed")
 
 
 class TestParseRational:

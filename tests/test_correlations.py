@@ -3,13 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinpaths import (CorrelationQuery, DegenerateEnsemble, InterfaceXXZ,
-                       LaurentPoly, PinnedInstance, PinnedRep1, PinnedRep2,
-                       Point, amplitude, conditioned_partition,
-                       crossing_probability, enumerate_paths,
-                       magnetization_profile, partition_dp, sector_configs,
-                       sphere)
+from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
+                       InterfaceXXZ, LaurentPoly, PinnedInstance, PinnedRep1,
+                       PinnedRep2, Point, SamplerState, amplitude,
+                       backward_table, conditioned_partition,
+                       crossing_probability, enumerate_paths, forward_table,
+                       horizontal_bond, magnetization_profile, partition_dp,
+                       pinning_distribution, sector_configs, sphere,
+                       vertical_bond)
+from spinpaths.lattice import diagonal
+from spinpaths.partition import rep2_start
 
 ORIGIN = Point(0, 0)
 HALF = Fraction(1, 2)
@@ -137,3 +142,86 @@ class TestMagnetizationProfile:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             magnetization_profile(PinnedInstance(K=1, L=1, N=1), Fraction(3, 2))
+
+
+# -- fixed-q consumers against polynomial tables evaluated cell by cell ------------
+
+
+def poly_pinning(inst, q0):
+    scheme = PinnedRep1(K=inst.K, L=inst.L)
+    end = Point(inst.N, inst.M)
+    fwd, bwd = forward_table(scheme, ORIGIN, end), backward_table(scheme, ORIGIN, end)
+    return [(n, fwd[Point(n, inst.K - n)].evaluate(q0) * bwd[Point(n, inst.K - n)].evaluate(q0)
+             / fwd[end].evaluate(q0))
+            for n in range(max(0, inst.K - inst.M), min(inst.K, inst.N) + 1)]
+
+
+def poly_profile(inst, q0):
+    scheme = PinnedRep2()
+    totals = {x: Fraction(0) for x in range(-inst.L, inst.K + 1)}
+    z = Fraction(0)
+    for a in range(0, min(inst.N, inst.L + 1) + 1):
+        if inst.N - a > inst.K:
+            continue
+        start, end = rep2_start(inst, a), Point(inst.N - a, inst.K - inst.N + a)
+        parts = [(lo, hi, forward_table(scheme, lo, hi), backward_table(scheme, lo, hi))
+                 for lo, hi in ((start, ORIGIN), (ORIGIN, end))]
+        z_parts = [fwd[hi].evaluate(q0) for _, hi, fwd, _ in parts]
+        z += z_parts[0] * z_parts[1]
+        for x in totals:
+            k = int(x > 0)
+            lo, hi, fwd, bwd = parts[k]
+            crossing = sum((fwd[h.translate(-1, 0)].evaluate(q0)
+                            * scheme.bond_weight(horizontal_bond(h.translate(-1, 0))).evaluate(q0)
+                            * bwd[h].evaluate(q0)
+                            for h in diagonal(x, lo, hi) if h.i > lo.i), Fraction(0))
+            totals[x] += crossing * z_parts[1 - k]
+    return [(x, totals[x] / z) for x in totals]
+
+
+def poly_step_probabilities(scheme, start, end, q0):
+    bwd = backward_table(scheme, start, end)
+    out = {}
+    for i in range(start.i, end.i):
+        for j in range(start.j, end.j + 1):
+            here = Point(i, j)
+            if bwd[here].evaluate(q0):
+                out[here] = (scheme.bond_weight(horizontal_bond(here)).evaluate(q0)
+                             * bwd[here.translate(1, 0)].evaluate(q0) / bwd[here].evaluate(q0))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fixed_q_consumers_match_polynomial_tables(data):
+    q0 = Fraction(data.draw(st.integers(1, 12)), 13)
+    K, L = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    inst = PinnedInstance(K=K, L=L, N=data.draw(st.integers(0, K + L + 1)))
+    assert pinning_distribution(inst, q0) == poly_pinning(inst, q0)
+    assert magnetization_profile(inst, q0) == poly_profile(inst, q0)
+
+    start = Point(data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
+    end = start.translate(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)))
+    cells = [Point(i, j) for i in range(start.i, end.i + 1) for j in range(start.j, end.j + 1)]
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    if kind == "interface":
+        scheme = InterfaceXXZ()
+    elif kind == "rep1":
+        # keep every bond head inside rep1's domain, radius K+L+1
+        scheme = PinnedRep1(K=K, L=max(L, end.i + end.j - K - 1))
+    elif kind == "rep2":
+        scheme = PinnedRep2()
+    else:
+        # positive coefficients keep every partition value positive at q0
+        bonds = [make(q) for q in cells for make in (horizontal_bond, vertical_bond)]
+        monomial = st.builds(lambda c, e: LaurentPoly({e: c}), st.integers(1, 2),
+                             st.integers(-3, 3))
+        scheme = CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), monomial)))
+    waypoints = tuple(data.draw(st.lists(st.sampled_from(cells), max_size=2)))
+    q = CorrelationQuery(scheme, start, end, waypoints)
+    assert crossing_probability(q, q0) == \
+        conditioned_partition(q).evaluate(q0) / partition_dp(scheme, start, end).evaluate(q0)
+
+    state = SamplerState(scheme, start, end, q0, 0)
+    for here, p_h in poly_step_probabilities(scheme, start, end, q0).items():
+        assert state.prob_h[here.i - start.i, here.j - start.j] == float(p_h)

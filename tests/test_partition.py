@@ -18,6 +18,9 @@ from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
 
 ORIGIN = Point(0, 0)
 
+open_unit_rationals = st.builds(lambda n, d: Fraction(n, n + d), st.integers(1, 12),
+                                st.integers(1, 12))
+
 
 def poly(terms):
     return LaurentPoly(terms)
@@ -109,12 +112,25 @@ class TestPartitionTables:
                                  st.integers(-3, 3))
             table = data.draw(st.dictionaries(st.sampled_from(bonds), monomial)) if bonds else {}
             scheme = CustomTable(table=table)
+        q0 = data.draw(open_unit_rationals)
         fwd = forward_table(scheme, start, end)
         bwd = backward_table(scheme, start, end)
-        assert len(fwd.values) == len(bwd.values) == len(cells)
+        fwd_q = forward_table(scheme, start, end, q0)
+        bwd_q = backward_table(scheme, start, end, q0)
+        assert len(fwd.values) == len(bwd.values) == len(fwd_q.values) == len(bwd_q.values) \
+            == len(cells)
         for q in cells:
-            assert fwd[q] == partition_bruteforce(scheme, start, q)
-            assert bwd[q] == partition_bruteforce(scheme, q, end)
+            to_q = partition_bruteforce(scheme, start, q)
+            from_q = partition_bruteforce(scheme, q, end)
+            assert fwd[q] == to_q
+            assert bwd[q] == from_q
+            assert fwd_q[q] == to_q.evaluate(q0) and type(fwd_q[q]) is Fraction
+            assert bwd_q[q] == from_q.evaluate(q0) and type(bwd_q[q]) is Fraction
+        # off the rectangle each table reads as the zero of its own ring
+        outside = end.translate(1, 0)
+        assert fwd[outside] == LaurentPoly.zero()
+        assert fwd_q[outside] == 0 and type(fwd_q[outside]) is Fraction
+        assert partition_dp(scheme, start, end, q0) == fwd_q[end]
 
 
 class TestClosedForm:

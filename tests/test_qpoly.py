@@ -151,3 +151,21 @@ def test_power():
 def test_str_rendering():
     assert str(ZERO) == "0"
     assert str(poly({-1: -2, 0: 1, 3: 1})) == "-2*q^-1 + 1 + q^3"
+
+
+class TestValueContracts:
+    @pytest.mark.parametrize("c", [0, 1, 5, -1, -7, 2**70])
+    def test_constant_hashes_like_its_int(self, c):
+        p = poly({0: c})
+        assert p == c
+        assert hash(p) == hash(c)
+        assert c in {p} and p in {c}
+
+    @pytest.mark.parametrize("terms", [{0: True}, {True: 1}, {1: False}, {False: 2}])
+    def test_bool_exponents_and_coefficients_rejected(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+
+    def test_bool_operand_acts_as_its_int(self):
+        assert ONE == True  # noqa: E712 - bool is compared as the int it equals
+        assert ONE + True == poly({0: 2})

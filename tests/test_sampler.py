@@ -132,7 +132,7 @@ class TestEstimateCrossing:
 
 
 def test_step_probabilities_are_exact_before_float():
-    # construction asserts the exact rational step probabilities sum to 1;
+    # construction checks that the exact rational step probabilities sum to 1;
     # reaching here means every interior point passed that check
     state = make_state(end=Point(3, 2), scheme=PinnedRep1(K=3, L=2))
     assert state.prob_h.shape == (4, 3)
