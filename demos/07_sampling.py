@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from spinpaths import (CorrelationQuery, InterfaceXXZ, PinnedRep1, Point,
                        SamplerState, crossing_probability, estimate_crossing,
-                       partition_dp, sample_path, sample_paths)
+                       sample_path, sample_paths)
 
 origin, end = Point(0, 0), Point(1, 1)
 q0 = Fraction(1, 2)
@@ -16,7 +16,6 @@ n = 20000
 counts = {"HV": 0, "VH": 0}
 for path in sample_paths(state, n):
     counts[path.steps] += 1
-z = partition_dp(InterfaceXXZ(), origin, end).evaluate(q0)
 print(f"unit square at q = {q0}: exact P(HV) = 4/5")
 print(f"  observed over {n} samples: {counts['HV'] / n:.4f}")
 

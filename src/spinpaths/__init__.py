@@ -10,33 +10,31 @@ exact measure as an independent statistical witness.
 from .correlations import (CorrelationQuery, DegenerateEnsemble,
                            conditioned_partition, crossing_probability,
                            magnetization_profile)
-from .lattice import (Bond, EnsembleTooLarge, LatticePath, Point,
-                      enumerate_paths, horizontal_bond, path_count, sphere,
-                      vertical_bond)
-from .partition import (PartitionTable, PinnedInstance, backward_table,
-                        forward_table, interface_closed_form, partition_bruteforce,
+from .lattice import (EnsembleTooLarge, LatticePath, Point, enumerate_paths,
+                      horizontal_bond, path_count, sphere, vertical_bond)
+from .partition import (PinnedInstance, backward_table, forward_table,
+                        interface_closed_form, partition_bruteforce,
                         partition_dp, pinned_rep1, pinned_rep2,
                         pinned_via_convolution, pinning_distribution,
-                        rec1_readings, rec2_rhs, translated_interface,
+                        rec1_readings, translated_interface,
                         verify_average_representation, verify_rec1, verify_rec2)
 from .qpoly import (LaurentPoly, NotDivisible, ZeroToNegativePower,
                     qsquare_factorial_product)
 from .sampler import (SamplerState, estimate_crossing, sample_path,
                       sample_paths, sample_step_matrix)
-from .spin import (HamiltonianOracle, SpinConfig, amplitude, build_hamiltonian,
-                   config_to_path_rep1, config_to_path_rep2, eigen_ratio_check,
-                   norm_squared, sector_configs, verify_ground_state)
+from .spin import (SpinConfig, amplitude, build_hamiltonian, config_to_path_rep1,
+                   config_to_path_rep2, eigen_ratio_check, norm_squared,
+                   sector_configs, verify_ground_state)
 from .weights import (CustomTable, InterfaceXXZ, OutOfDomain, PinnedRep1,
-                      PinnedRep2, WeightScheme, scheme_from_name)
+                      PinnedRep2, scheme_from_name)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bond", "CorrelationQuery", "CustomTable", "DegenerateEnsemble",
-    "EnsembleTooLarge", "HamiltonianOracle", "InterfaceXXZ",
-    "LatticePath", "LaurentPoly", "NotDivisible", "OutOfDomain",
-    "PartitionTable", "PinnedInstance", "PinnedRep1", "PinnedRep2", "Point",
-    "SamplerState", "SpinConfig", "WeightScheme", "ZeroToNegativePower",
+    "CorrelationQuery", "CustomTable", "DegenerateEnsemble",
+    "EnsembleTooLarge", "InterfaceXXZ", "LatticePath", "LaurentPoly",
+    "NotDivisible", "OutOfDomain", "PinnedInstance", "PinnedRep1",
+    "PinnedRep2", "Point", "SamplerState", "SpinConfig", "ZeroToNegativePower",
     "amplitude", "backward_table", "build_hamiltonian", "conditioned_partition",
     "config_to_path_rep1", "config_to_path_rep2", "crossing_probability",
     "eigen_ratio_check", "enumerate_paths", "estimate_crossing", "forward_table",
@@ -44,7 +42,7 @@ __all__ = [
     "norm_squared", "partition_bruteforce", "partition_dp", "path_count",
     "pinned_rep1", "pinned_rep2", "pinned_via_convolution",
     "pinning_distribution", "qsquare_factorial_product", "rec1_readings",
-    "rec2_rhs", "sample_path", "sample_paths", "sample_step_matrix",
+    "sample_path", "sample_paths", "sample_step_matrix",
     "scheme_from_name", "sector_configs", "sphere", "translated_interface",
     "verify_average_representation", "verify_ground_state", "verify_rec1",
     "verify_rec2", "vertical_bond",

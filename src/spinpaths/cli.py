@@ -16,10 +16,10 @@ import sys
 from fractions import Fraction
 
 from . import correlations, partition, sampler, spin
-from .lattice import Point, horizontal_bond
+from .lattice import Point
 from .partition import PinnedInstance
 from .qpoly import LaurentPoly, ZeroToNegativePower
-from .weights import CustomTable, InterfaceXXZ, scheme_from_name
+from .weights import InterfaceXXZ, scheme_from_name
 
 SCHEMA_POLY = "spinpaths/polynomial/1"
 SCHEMA_REPORT = "spinpaths/report/1"
@@ -175,17 +175,21 @@ def cmd_hamiltonian(args) -> int:
 
 
 def _report_entry(identity: str, params: dict, holds: bool, lhs, rhs) -> dict:
+    return {"identity": identity, "parameters": params, "holds": bool(holds),
+            "lhs": lhs, "rhs": rhs}
+
+
+def _rendered(entry: dict) -> dict:
+    """The entry with its sides as JSON: polynomial objects, other values as strings."""
     def render(v):
         if isinstance(v, LaurentPoly):
             return poly_json(v)
         return str(v)
-    return {"identity": identity, "parameters": params, "holds": bool(holds),
-            "lhs": render(lhs), "rhs": render(rhs)}
+    return {**entry, "lhs": render(entry["lhs"]), "rhs": render(entry["rhs"])}
 
 
-def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
-                   tf_window: int = 2) -> list[dict]:
-    """Run every identity on the (K, L) grid; one report entry per check."""
+def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dict]:
+    """Run every identity on the (K, L) grid; one report entry per check, sides unrendered."""
     entries: list[dict] = []
     for K in range(max_k + 1):
         for L in range(max_l + 1):
@@ -216,18 +220,17 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
                     entries.append(_report_entry(
                         "ave", report["parameters"], report["holds"],
                         report["lhs"], report["rhs"]))
-    # translation identity over a small window of rectangles and reference points
-    w = tf_window
-    pts = [Point(i, j) for i in range(-w, w + 1) for j in range(-w, w + 1)]
+    # translation identity over the rectangles and reference points in [-2, 2]^2
+    pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
     interface = InterfaceXXZ()
     for start in pts:
         for end in pts:
             if not end.dominates(start):
                 continue
+            direct = partition.partition_dp(interface, start, end)
             for ref in pts:
                 if not (ref.i <= start.i and ref.j <= start.j):
                     continue
-                direct = partition.partition_dp(interface, start, end)
                 translated = partition.translated_interface(start, end, ref)
                 entries.append(_report_entry(
                     "TF", {"I": str(start), "F": str(end), "P": str(ref)},
@@ -235,29 +238,9 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
     return entries
 
 
-def injected_failure_entry() -> dict:
-    """A deliberately falsified identity (testing hook for the exit contract).
-
-    Uses a custom table that mimics the fixed-weights recursion setup but
-    puts weight q^2 on the final horizontal bond, which breaks the
-    recursion's premise that last-sphere weights are 1.
-    """
-    table = {horizontal_bond(Point(0, 2)): LaurentPoly.q_power(2)}
-    scheme = CustomTable(table=table)
-    end = Point(1, 2)
-    full = partition.forward_table(scheme, Point(0, 0), end)
-    lhs = full[end]
-    rhs = full[Point(0, 2)] + full[Point(1, 1)]
-    return _report_entry("rec1", {"scheme": "custom", "note": "injected failure",
-                                  "reading": "fixed-weights"},
-                         lhs == rhs, lhs, rhs)
-
-
 def cmd_verify(args) -> int:
     q_values = [parse_rational(t) for t in (args.q or ["3/10", "1/2", "4/5"])]
     entries = identity_suite(args.max_K, args.max_L, q_values)
-    if args.inject_failure:
-        entries.append(injected_failure_entry())
     failures = [e for e in entries if not e["holds"]]
     by_identity: dict[str, list[dict]] = {}
     for e in entries:
@@ -269,9 +252,9 @@ def cmd_verify(args) -> int:
            "q": [str(q) for q in q_values], "summary": summary,
            "all_hold": not failures}
     if args.full:
-        out["entries"] = entries
+        out["entries"] = [_rendered(e) for e in entries]
     else:
-        out["failures"] = failures
+        out["failures"] = [_rendered(e) for e in failures]
     print(json.dumps(out, indent=2))
     return 1 if failures else 0
 
@@ -337,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", action="append", default=None,
                    help="rational q (repeatable; default 3/10, 1/2, 4/5)")
     p.add_argument("--full", action="store_true", help="emit every entry, not just failures")
-    p.add_argument("--inject-failure", action="store_true",
-                   help="append a deliberately falsified identity (exit-code test hook)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="draw paths from the exact measure")

@@ -245,10 +245,10 @@ def rec1_readings(inst: PinnedInstance) -> dict:
     chain shrunk on either side.  Returns None for readings that are not
     well formed at this instance.
     """
+    lhs, rhs = rec1_sides(inst)
     out = {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M,
-           "fixed_weights": verify_rec1(inst),
+           "fixed_weights": lhs == rhs,
            "reinstanced_shrink_K": None, "reinstanced_shrink_L": None}
-    lhs = pinned_rep1(inst)
     for label, K2, L2 in (("reinstanced_shrink_K", inst.K - 1, inst.L),
                           ("reinstanced_shrink_L", inst.K, inst.L - 1)):
         if K2 < 0 or L2 < 0:

@@ -53,9 +53,9 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def q_power(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
-        """The monomial coeff * q^exponent."""
-        return cls({exponent: coeff})
+    def q_power(cls, exponent: int) -> "LaurentPoly":
+        """The monomial q^exponent."""
+        return cls({exponent: 1})
 
     # -- inspection --------------------------------------------------------
 

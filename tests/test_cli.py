@@ -7,7 +7,7 @@ import pytest
 
 from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, Point, SamplerState,
                        sample_paths)
-from spinpaths import sampler
+from spinpaths import partition, sampler
 from spinpaths.cli import main, parse_rational
 from spinpaths.sampler import BLOCK
 
@@ -173,14 +173,21 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["all_hold"] is True
 
-    def test_injected_failure_exits_one(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-K", "0", "--max-L", "0",
-                           "--inject-failure")
+    def test_injected_failure_exits_one(self, capsys, monkeypatch):
+        real = partition.rec2_rhs
+        monkeypatch.setattr(partition, "rec2_rhs", lambda inst: real(inst) + 1)
+        code, out, _ = run(capsys, "verify", "--max-K", "0", "--max-L", "0")
         assert code == 1
         payload = json.loads(out)
         assert payload["all_hold"] is False
-        assert any(e["parameters"].get("note") == "injected failure"
-                   for e in payload["failures"])
+        failures = payload["failures"]
+        assert {e["identity"] for e in failures} == {"rec2"}
+        assert len(failures) == payload["summary"]["rec2"]["checked"]
+        for e in failures:
+            lhs = LaurentPoly.from_json_obj(e["lhs"]["terms"])
+            rhs = LaurentPoly.from_json_obj(e["rhs"]["terms"])
+            assert e["lhs"]["schema"] == e["rhs"]["schema"] == "spinpaths/polynomial/1"
+            assert rhs == lhs + 1
 
     def test_full_listing(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-K", "0", "--max-L", "0", "--full")
@@ -189,6 +196,13 @@ class TestVerifyCommand:
         assert all(e["holds"] for e in payload["entries"])
         rec1 = [e for e in payload["entries"] if e["identity"] == "rec1"]
         assert all(e["parameters"]["reading"] == "fixed-weights" for e in rec1)
+        for e in payload["entries"]:
+            for side in (e["lhs"], e["rhs"]):
+                if e["identity"] == "ave":
+                    assert isinstance(side, str)
+                else:
+                    assert side["schema"] == "spinpaths/polynomial/1"
+        assert payload["summary"]["TF"]["checked"] == 1225
 
 
 class TestUsageErrors:
