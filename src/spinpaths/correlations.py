@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Point, diagonal, horizontal_bond
+from .lattice import H_STEP, Point, diagonal
 from .partition import (ORIGIN, PinnedInstance, backward_table, evaluated_weight,
-                        forward_table, partition_dp, rep2_start)
+                        forward_table, partition_dp, rep2_splits)
 from .qpoly import LaurentPoly, ONE
 from .weights import PinnedRep2, WeightScheme
 
@@ -73,20 +73,14 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
         # weighted sum over horizontal steps ending on the given sphere
         acc = Fraction(0)
         for head in diagonal(radius, lo, hi):
-            tail = head.translate(-1, 0)
-            if tail.i < lo.i:
-                continue
-            acc += fwd[tail] * weight(horizontal_bond(tail)) * bwd[head]
+            i, j = head
+            if i > lo.i:
+                acc += fwd[i - 1, j] * weight(i - 1, j, H_STEP) * bwd[head]
         return acc
 
     totals = {x: Fraction(0) for x in range(-inst.L, inst.K + 1)}
     z = Fraction(0)
-    for a in range(0, min(inst.N, inst.L + 1) + 1):
-        n_fwd = inst.N - a
-        if n_fwd > inst.K:
-            continue
-        start = rep2_start(inst, a)
-        end = Point(n_fwd, inst.K - n_fwd)
+    for start, end in rep2_splits(inst):
         back_fwd = forward_table(scheme, start, ORIGIN, q0)
         back_bwd = backward_table(scheme, start, ORIGIN, q0)
         fore_fwd = forward_table(scheme, ORIGIN, end, q0)

@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 H_STEP = "H"
 V_STEP = "V"
@@ -24,8 +25,9 @@ class EnsembleTooLarge(ValueError):
     """An exhaustive enumeration was requested beyond the oracle limit."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
+    """A lattice point; equal to, and hashed like, the plain tuple (i, j)."""
+
     i: int
     j: int
 
@@ -70,7 +72,7 @@ class LatticePath:
     steps: str  # word over {H, V}
 
     def __post_init__(self):
-        if any(s not in (H_STEP, V_STEP) for s in self.steps):
+        if not isinstance(self.steps, str) or self.steps.strip(H_STEP + V_STEP):
             raise ValueError(f"invalid step word {self.steps!r}")
 
     def __len__(self) -> int:

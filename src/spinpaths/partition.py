@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import Bond, Point, diagonal, enumerate_paths, horizontal_bond, vertical_bond
+from .lattice import H_STEP, Point, V_STEP, diagonal, enumerate_paths
 from .qpoly import LaurentPoly, NotDivisible, ONE, ZERO, qsquare_factorial_product
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
@@ -65,12 +65,12 @@ class PartitionTable:
         return self.values.get(point, self.zero)
 
 
-def evaluated_weight(scheme: WeightScheme, q0: Fraction) -> Callable[[Bond], Fraction]:
+def evaluated_weight(scheme: WeightScheme, q0: Fraction) -> Callable[[int, int, str], Fraction]:
     """The scheme's bond weight at q = q0, evaluating each distinct weight once."""
     cache: dict[LaurentPoly, Fraction] = {}
 
-    def weight(bond: Bond) -> Fraction:
-        w = scheme.bond_weight(bond)
+    def weight(i: int, j: int, orientation: str) -> Fraction:
+        w = scheme.bond_weight(i, j, orientation)
         value = cache.get(w)
         if value is None:
             value = cache[w] = w.evaluate(q0)
@@ -93,20 +93,20 @@ def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> Par
         weight, zero, one = evaluated_weight(scheme, Fraction(q0)), Fraction(0), Fraction(1)
     values: dict[Point, LaurentPoly | Fraction] = {}
     if end.dominates(start):
-        origin = start if step == 1 else end
+        oi, oj = origin = start if step == 1 else end
         values[origin] = one
+        # a bond's tail is its lower end: the cell behind when growing from
+        # start, the cell itself when growing from end
+        lag = 1 if step == 1 else 0
         total = (end.i - start.i) + (end.j - start.j)
         for radius in range(1, total + 1):
-            for q in diagonal(origin.i + origin.j + step * radius, start, end):
+            for q in diagonal(oi + oj + step * radius, start, end):
+                i, j = q
                 acc = zero
-                if q.i != origin.i:
-                    prev = q.translate(-step, 0)
-                    bond = horizontal_bond(prev if step == 1 else q)
-                    acc = acc + weight(bond) * values[prev]
-                if q.j != origin.j:
-                    prev = q.translate(0, -step)
-                    bond = vertical_bond(prev if step == 1 else q)
-                    acc = acc + weight(bond) * values[prev]
+                if i != oi:
+                    acc = acc + weight(i - lag, j, H_STEP) * values[i - step, j]
+                if j != oj:
+                    acc = acc + weight(i, j - lag, V_STEP) * values[i, j - step]
                 values[q] = acc
     return PartitionTable(values, zero)
 
@@ -181,6 +181,13 @@ def rep2_start(inst: PinnedInstance, a: int) -> Point:
     return Point(-a, -(inst.L + 1 - a))
 
 
+def rep2_splits(inst: PinnedInstance) -> list[tuple[Point, Point]]:
+    """The admissible (start, end) pairs of the second representation: a <= L+1
+    of the N horizontal steps before the origin, N-a <= K after it."""
+    return [(rep2_start(inst, a), Point(inst.N - a, inst.K - inst.N + a))
+            for a in range(min(inst.N, inst.L + 1) + 1) if inst.N - a <= inst.K]
+
+
 def pinned_rep2(inst: PinnedInstance) -> LaurentPoly:
     """Partition function of the second pinned representation.
 
@@ -191,13 +198,8 @@ def pinned_rep2(inst: PinnedInstance) -> LaurentPoly:
     """
     scheme = PinnedRep2()
     total = ZERO
-    for a in range(0, min(inst.N, inst.L + 1) + 1):
-        n_fwd = inst.N - a
-        if n_fwd > inst.K:
-            continue
-        back = partition_dp(scheme, rep2_start(inst, a), ORIGIN)
-        fwd = partition_dp(scheme, ORIGIN, Point(n_fwd, inst.K - n_fwd))
-        total = total + back * fwd
+    for start, end in rep2_splits(inst):
+        total = total + partition_dp(scheme, start, ORIGIN) * partition_dp(scheme, ORIGIN, end)
     return total
 
 

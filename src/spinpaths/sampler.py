@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .correlations import DegenerateEnsemble
-from .lattice import H_STEP, LatticePath, Point, V_STEP, horizontal_bond, vertical_bond
+from .lattice import H_STEP, LatticePath, Point, V_STEP
 from .partition import InternalIdentityFailure, backward_table, evaluated_weight
 from .weights import WeightScheme
 
@@ -55,21 +55,21 @@ class SamplerState:
         prob_h = np.zeros((di + 1, dj + 1), dtype=np.float64)
         for a in range(di + 1):
             for b in range(dj + 1):
-                q_pt = Point(start.i + a, start.j + b)
-                if q_pt == end:
+                if a == di and b == dj:
                     continue
-                z_here = backward[q_pt]
+                i, j = start.i + a, start.j + b
+                z_here = backward[i, j]
                 if z_here == 0:
                     continue  # unreachable at this q; probability never consulted
                 p_h = Fraction(0)
                 p_v = Fraction(0)
                 if a < di:
-                    p_h = weight(horizontal_bond(q_pt)) * backward[q_pt.translate(1, 0)] / z_here
+                    p_h = weight(i, j, H_STEP) * backward[i + 1, j] / z_here
                 if b < dj:
-                    p_v = weight(vertical_bond(q_pt)) * backward[q_pt.translate(0, 1)] / z_here
+                    p_v = weight(i, j, V_STEP) * backward[i, j + 1] / z_here
                 if p_h + p_v != 1:
                     raise InternalIdentityFailure(
-                        f"step probabilities at {q_pt} sum to {p_h + p_v}")
+                        f"step probabilities at {Point(i, j)} sum to {p_h + p_v}")
                 prob_h[a, b] = float(p_h)
         self.prob_h = prob_h
         self.rng = np.random.Generator(np.random.Philox(key=seed))

@@ -148,7 +148,6 @@ class HamiltonianOracle:
     q0: float
     matrix: np.ndarray
     basis: list[SpinConfig]
-    index: dict[tuple[int, ...], int]
 
     @property
     def dimension(self) -> int:
@@ -189,7 +188,7 @@ def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
             else:  # local (up, down)
                 h[col, col] += c / qx
             h[row, col] += -c
-    return HamiltonianOracle(L=L, K=K, N=N, q0=q0, matrix=h, basis=basis, index=index)
+    return HamiltonianOracle(L=L, K=K, N=N, q0=q0, matrix=h, basis=basis)
 
 
 def ground_state_vector(oracle: HamiltonianOracle) -> np.ndarray:

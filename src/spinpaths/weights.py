@@ -1,7 +1,9 @@
 """Bond-local weight schemes and path weights.
 
-All schemes weigh vertical bonds as 1; the weight of a horizontal bond
-is a monomial in q determined by its right end (the head of the step).
+A scheme is asked by coordinates: bond_weight(i, j, orientation) weighs
+the bond whose tail is (i, j), the point horizontal_bond/vertical_bond take.
+All schemes weigh vertical bonds as 1; the weight of a horizontal bond is a
+monomial in q determined by its right end (i+1, j), the head of the step.
 Path weights are the product of bond weights, so weights multiply under
 path concatenation.
 """
@@ -24,27 +26,28 @@ class WeightScheme:
 
     name = "abstract"
 
-    def bond_weight(self, bond: Bond) -> LaurentPoly:
+    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
+        """Weight of the bond with tail (i, j) and orientation H_STEP or V_STEP."""
         raise NotImplementedError
 
     def path_weight(self, path: LatticePath) -> LaurentPoly:
         """Product of bond weights along the path; the empty path weighs 1."""
         w = ONE
         for b in path.bonds():
-            w = w * self.bond_weight(b)
+            w = w * self.bond_weight(b.tail.i, b.tail.j, b.orientation)
         return w
 
 
 @dataclass(frozen=True)
 class InterfaceXXZ(WeightScheme):
-    """Horizontal bond with right end (i, j) weighs q^(2(i+j))."""
+    """Horizontal bond with right end (i+1, j) weighs q^(2(i+1+j))."""
 
     name = "interface"
 
-    def bond_weight(self, bond: Bond) -> LaurentPoly:
-        if bond.orientation != H_STEP:
+    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
+        if orientation != H_STEP:
             return ONE
-        return LaurentPoly.q_power(2 * (bond.head.i + bond.head.j))
+        return LaurentPoly.q_power(2 * (i + 1 + j))
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,10 @@ class PinnedRep1(WeightScheme):
         if self.K < 0 or self.L < 0:
             raise ValueError("K and L must be nonnegative")
 
-    def bond_weight(self, bond: Bond) -> LaurentPoly:
-        if bond.orientation != H_STEP:
+    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
+        if orientation != H_STEP:
             return ONE
-        s = bond.head.i + bond.head.j
+        s = i + 1 + j
         if s <= self.K:
             return LaurentPoly.q_power(2 * s)
         if s <= self.K + self.L + 1:
@@ -78,14 +81,14 @@ class PinnedRep1(WeightScheme):
 
 @dataclass(frozen=True)
 class PinnedRep2(WeightScheme):
-    """Horizontal bond with right end (i, j) weighs q^(2|i+j|)."""
+    """Horizontal bond with right end (i+1, j) weighs q^(2|i+1+j|)."""
 
     name = "rep2"
 
-    def bond_weight(self, bond: Bond) -> LaurentPoly:
-        if bond.orientation != H_STEP:
+    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
+        if orientation != H_STEP:
             return ONE
-        return LaurentPoly.q_power(2 * abs(bond.head.i + bond.head.j))
+        return LaurentPoly.q_power(2 * abs(i + 1 + j))
 
 
 @dataclass(frozen=True)
@@ -103,14 +106,16 @@ class CustomTable(WeightScheme):
     name = "custom"
 
     def __post_init__(self):
-        # dataclass frozen hashing needs hashable fields; normalize to tuple
         object.__setattr__(self, "table", dict(self.table))
+        # bond_weight is asked by coordinates; key a copy of the table that way once
+        object.__setattr__(self, "_by_tail", {(b.tail.i, b.tail.j, b.orientation): w
+                                              for b, w in self.table.items()})
 
     def __hash__(self):
-        return hash((tuple(sorted(self.table.items(), key=lambda kv: (kv[0].tail.i, kv[0].tail.j, kv[0].orientation))), self.default))
+        return hash((tuple(sorted(self._by_tail.items())), self.default))
 
-    def bond_weight(self, bond: Bond) -> LaurentPoly:
-        return self.table.get(bond, self.default)
+    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
+        return self._by_tail.get((i, j, orientation), self.default)
 
 
 def scheme_from_name(name: str, K: int | None = None, L: int | None = None) -> WeightScheme:

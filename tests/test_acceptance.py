@@ -25,7 +25,8 @@ from spinpaths import (CorrelationQuery, EnsembleTooLarge, InterfaceXXZ,
                        pinned_rep2, pinned_via_convolution, rec1_readings,
                        sample_step_matrix, sphere, translated_interface,
                        verify_average_representation, verify_ground_state,
-                       verify_rec1, verify_rec2)
+                       verify_rec2)
+from spinpaths.partition import verify_rec1
 
 ORIGIN = Point(0, 0)
 RESIDUAL_BOUND = 1e-10

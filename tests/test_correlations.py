@@ -10,10 +10,9 @@ from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
                        PinnedRep2, Point, SamplerState, amplitude,
                        backward_table, conditioned_partition,
                        crossing_probability, enumerate_paths, forward_table,
-                       horizontal_bond, magnetization_profile, partition_dp,
-                       pinning_distribution, sector_configs, sphere,
-                       vertical_bond)
-from spinpaths.lattice import diagonal
+                       magnetization_profile, partition_dp,
+                       pinning_distribution, sector_configs, sphere)
+from spinpaths.lattice import H_STEP, diagonal, horizontal_bond, vertical_bond
 from spinpaths.partition import rep2_start
 
 ORIGIN = Point(0, 0)
@@ -172,7 +171,7 @@ def poly_profile(inst, q0):
             k = int(x > 0)
             lo, hi, fwd, bwd = parts[k]
             crossing = sum((fwd[h.translate(-1, 0)].evaluate(q0)
-                            * scheme.bond_weight(horizontal_bond(h.translate(-1, 0))).evaluate(q0)
+                            * scheme.bond_weight(h.i - 1, h.j, H_STEP).evaluate(q0)
                             * bwd[h].evaluate(q0)
                             for h in diagonal(x, lo, hi) if h.i > lo.i), Fraction(0))
             totals[x] += crossing * z_parts[1 - k]
@@ -186,7 +185,7 @@ def poly_step_probabilities(scheme, start, end, q0):
         for j in range(start.j, end.j + 1):
             here = Point(i, j)
             if bwd[here].evaluate(q0):
-                out[here] = (scheme.bond_weight(horizontal_bond(here)).evaluate(q0)
+                out[here] = (scheme.bond_weight(i, j, H_STEP).evaluate(q0)
                              * bwd[here.translate(1, 0)].evaluate(q0) / bwd[here].evaluate(q0))
     return out
 
@@ -225,3 +224,30 @@ def test_fixed_q_consumers_match_polynomial_tables(data):
     state = SamplerState(scheme, start, end, q0, 0)
     for here, p_h in poly_step_probabilities(scheme, start, end, q0).items():
         assert state.prob_h[here.i - start.i, here.j - start.j] == float(p_h)
+
+
+@pytest.mark.parametrize("scheme", [
+    InterfaceXXZ(), PinnedRep1(K=2, L=3), PinnedRep2(),
+    CustomTable(table={horizontal_bond(Point(0, 1)): LaurentPoly({-1: 2}),
+                       vertical_bond(Point(1, 0)): LaurentPoly({2: 3})}),
+], ids=["interface", "rep1", "rep2", "custom"])
+def test_sweeps_and_observables_build_no_bond(scheme, monkeypatch):
+    # weights are asked by coordinates, so no Bond is built on the way
+    start, end = Point(-1, 0), Point(2, 2)
+    inst = PinnedInstance(K=2, L=2, N=3)
+    query = CorrelationQuery(scheme, start, end, (Point(0, 1),))
+
+    def observe():
+        tables = [make(scheme, start, end, q0).values
+                  for make in (forward_table, backward_table) for q0 in (None, HALF)]
+        return (tables, SamplerState(scheme, start, end, HALF, 0).prob_h.tolist(),
+                magnetization_profile(inst, HALF), pinning_distribution(inst, HALF),
+                crossing_probability(query, HALF))
+
+    before = observe()
+
+    def refuse(bond):
+        raise AssertionError(f"built {bond}")
+
+    monkeypatch.setattr("spinpaths.lattice.Bond.__post_init__", refuse)
+    assert observe() == before

@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from spinpaths import (EnsembleTooLarge, LatticePath, Point, enumerate_paths,
-                       path_count, sphere)
-from spinpaths.lattice import PATH_ENUMERATION_LIMIT
+from spinpaths import EnsembleTooLarge, LatticePath, Point, enumerate_paths, sphere
+from spinpaths.lattice import PATH_ENUMERATION_LIMIT, path_count
 
 
 class TestEndpoint:
@@ -126,6 +125,21 @@ class TestTextForm:
 def test_invalid_step_word():
     with pytest.raises(ValueError):
         LatticePath(Point(0, 0), "HQ")
+
+
+@pytest.mark.parametrize("word", [["H", "V"], ("H",), b"HV", None])
+def test_step_word_must_be_a_str(word):
+    with pytest.raises(ValueError, match="invalid step word"):
+        LatticePath(Point(0, 0), word)
+
+
+def test_point_contract():
+    # a Point is the plain tuple (i, j), so tables keyed by tuples answer it
+    assert Point(1, 2) == (1, 2)
+    assert hash(Point(1, 2)) == hash((1, 2))
+    assert str(Point(1, 2)) == "(1,2)"
+    with pytest.raises(AttributeError):
+        Point(1, 2).i = 3
 
 
 def test_concat():

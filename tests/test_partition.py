@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
                        PinnedRep1, PinnedRep2, Point, backward_table,
                        enumerate_paths,
-                       forward_table, horizontal_bond, interface_closed_form,
+                       forward_table, interface_closed_form,
                        partition_bruteforce, partition_dp,
                        pinned_rep1, pinned_rep2, pinned_via_convolution,
                        pinning_distribution, rec1_readings, sphere,
                        translated_interface, verify_average_representation,
-                       verify_rec1, verify_rec2, vertical_bond)
+                       verify_rec2)
+from spinpaths.lattice import horizontal_bond, vertical_bond
+from spinpaths.partition import verify_rec1
 
 ORIGIN = Point(0, 0)
 

@@ -8,11 +8,11 @@ import pytest
 
 from spinpaths import (EnsembleTooLarge, LaurentPoly, PinnedRep1, PinnedRep2,
                        Point, SpinConfig, amplitude, build_hamiltonian,
-                       config_to_path_rep1, config_to_path_rep2,
-                       eigen_ratio_check, norm_squared, pinned_rep1,
-                       pinned_rep2, sector_configs, verify_ground_state)
+                       config_to_path_rep1, config_to_path_rep2, norm_squared,
+                       pinned_rep1, pinned_rep2, sector_configs,
+                       verify_ground_state)
 from spinpaths.partition import PinnedInstance
-from spinpaths.spin import ground_state_vector
+from spinpaths.spin import eigen_ratio_check, ground_state_vector
 
 
 def mono(e):

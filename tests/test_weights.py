@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from spinpaths import (CustomTable, InterfaceXXZ, LatticePath, LaurentPoly,
                        OutOfDomain, PinnedRep1, PinnedRep2, Point,
-                       enumerate_paths, horizontal_bond, scheme_from_name,
-                       vertical_bond)
+                       enumerate_paths, scheme_from_name)
+from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
 
 
 def mono(e):
@@ -16,38 +16,37 @@ def mono(e):
 class TestBondWeight:
     def test_interface_right_end(self):
         # horizontal bond ending at (1, 0) weighs q^2
-        assert InterfaceXXZ().bond_weight(horizontal_bond(Point(0, 0))) == mono(2)
+        assert InterfaceXXZ().bond_weight(0, 0, H_STEP) == mono(2)
 
     def test_rep1_descending_branch(self):
         # K=L=1: bond ending at (3, 0) sits on the last sphere, weight 1
         scheme = PinnedRep1(K=1, L=1)
-        assert scheme.bond_weight(horizontal_bond(Point(2, 0))) == mono(0)
+        assert scheme.bond_weight(2, 0, H_STEP) == mono(0)
 
     def test_rep2_absolute_value(self):
-        assert PinnedRep2().bond_weight(horizontal_bond(Point(-3, 0))) == mono(4)
+        assert PinnedRep2().bond_weight(-3, 0, H_STEP) == mono(4)
 
     def test_vertical_bonds_weigh_one(self):
         for scheme in (InterfaceXXZ(), PinnedRep1(K=2, L=1), PinnedRep2()):
-            assert scheme.bond_weight(vertical_bond(Point(1, 2))) == mono(0)
+            assert scheme.bond_weight(1, 2, V_STEP) == mono(0)
 
     def test_rep1_branch_boundary(self):
         # the sphere at radius K takes the rising branch q^(2K)
         scheme = PinnedRep1(K=2, L=0)
-        assert scheme.bond_weight(horizontal_bond(Point(1, 0))) == mono(4)
+        assert scheme.bond_weight(1, 0, H_STEP) == mono(4)
         # strictly above K the falling branch applies
-        assert scheme.bond_weight(horizontal_bond(Point(2, 0))) == mono(2 * 3 - 2 * 3)
+        assert scheme.bond_weight(2, 0, H_STEP) == mono(2 * 3 - 2 * 3)
 
     def test_rep1_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            PinnedRep1(K=1, L=1).bond_weight(horizontal_bond(Point(3, 0)))
+            PinnedRep1(K=1, L=1).bond_weight(3, 0, H_STEP)
 
     def test_interface_rep1_agree_inside_radius_k(self):
         interface, rep1 = InterfaceXXZ(), PinnedRep1(K=4, L=2)
         for i in range(5):
             for j in range(5 - i):
                 if i + j + 1 <= 4:
-                    b = horizontal_bond(Point(i, j))
-                    assert interface.bond_weight(b) == rep1.bond_weight(b)
+                    assert interface.bond_weight(i, j, H_STEP) == rep1.bond_weight(i, j, H_STEP)
 
 
 class TestPathWeight:
@@ -83,10 +82,9 @@ class TestPathWeight:
 
 class TestCustomTable:
     def test_lookup_and_default(self):
-        bond = horizontal_bond(Point(0, 0))
-        scheme = CustomTable(table={bond: mono(7)})
-        assert scheme.bond_weight(bond) == mono(7)
-        assert scheme.bond_weight(vertical_bond(Point(0, 0))) == mono(0)
+        scheme = CustomTable(table={horizontal_bond(Point(0, 0)): mono(7)})
+        assert scheme.bond_weight(0, 0, H_STEP) == mono(7)
+        assert scheme.bond_weight(0, 0, V_STEP) == mono(0)
 
     def test_nontrivial_vertical_weight(self):
         bond = vertical_bond(Point(0, 0))
