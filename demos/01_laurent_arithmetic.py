@@ -6,7 +6,8 @@ negative; evaluation at a rational point returns an exact Fraction.
 
 from fractions import Fraction
 
-from spinpaths import LaurentPoly, NotDivisible, qsquare_factorial_product
+from spinpaths import LaurentPoly, NotDivisible
+from spinpaths.qpoly import qsquare_factorial_product
 
 one = LaurentPoly.one()
 q2 = LaurentPoly.q_power(2)

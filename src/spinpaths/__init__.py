@@ -17,8 +17,7 @@ from .partition import (PinnedInstance, backward_table, forward_table,
                         pinned_via_convolution, pinning_distribution,
                         rec1_readings, translated_interface,
                         verify_average_representation, verify_rec2)
-from .qpoly import (LaurentPoly, NotDivisible, ZeroToNegativePower,
-                    qsquare_factorial_product)
+from .qpoly import LaurentPoly, NotDivisible, ZeroToNegativePower
 from .sampler import (SamplerState, estimate_crossing, sample_path,
                       sample_paths, sample_step_matrix)
 from .spin import (SpinConfig, amplitude, build_hamiltonian, config_to_path_rep1,
@@ -39,7 +38,7 @@ __all__ = [
     "enumerate_paths", "estimate_crossing", "forward_table",
     "interface_closed_form", "magnetization_profile", "norm_squared",
     "partition_bruteforce", "partition_dp", "pinned_rep1", "pinned_rep2",
-    "pinned_via_convolution", "pinning_distribution", "qsquare_factorial_product",
+    "pinned_via_convolution", "pinning_distribution",
     "rec1_readings", "sample_path", "sample_paths", "sample_step_matrix",
     "scheme_from_name", "sector_configs", "sphere", "translated_interface",
     "verify_average_representation", "verify_ground_state", "verify_rec2",

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import H_STEP, Point, diagonal
-from .partition import (ORIGIN, PinnedInstance, backward_table, evaluated_weight,
-                        forward_table, partition_dp, rep2_splits)
+from .partition import (ORIGIN, PinnedInstance, backward_table, forward_table,
+                        partition_dp, rep2_splits)
 from .qpoly import LaurentPoly, ONE
 from .weights import PinnedRep2, WeightScheme
 
@@ -67,16 +67,18 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
     scheme = PinnedRep2()
-    weight = evaluated_weight(scheme, q0)
 
     def bond_sum(radius: int, fwd, bwd, lo: Point, hi: Point) -> Fraction:
-        # weighted sum over horizontal steps ending on the given sphere
-        acc = Fraction(0)
+        # weighted sum over horizontal steps ending on the given sphere; every
+        # term is a whole path's weight, so the sum decodes as the far corner does
+        f, b, weights = fwd.values, bwd.values, fwd.weights
+        acc = 0
         for head in diagonal(radius, lo, hi):
             i, j = head
             if i > lo.i:
-                acc += fwd[i - 1, j] * weight(i - 1, j, H_STEP) * bwd[head]
-        return acc
+                m, k = weights[i - 1, j, H_STEP]
+                acc += (m * f[i - 1, j] * b[head]) << k
+        return fwd.read(acc, hi)
 
     totals = {x: Fraction(0) for x in range(-inst.L, inst.K + 1)}
     z = Fraction(0)

@@ -10,12 +10,13 @@ recursion/convolution identities relating them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import H_STEP, Point, V_STEP, diagonal, enumerate_paths
-from .qpoly import LaurentPoly, NotDivisible, ONE, ZERO, qsquare_factorial_product
+from .lattice import H_STEP, Point, V_STEP, enumerate_paths
+from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, unpack
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
 ORIGIN = Point(0, 0)
@@ -51,32 +52,131 @@ class PinnedInstance:
 class PartitionTable:
     """Per-point partition values over a rectangle; immutable after construction.
 
-    The values are Laurent polynomials, or exact Fractions when the table
-    was swept at a fixed q; points off the rectangle read as that ring's 0.
+    Every cell is one int, ``values[(i, j)]``, in an encoding chosen for
+    the rectangle: a Kronecker-packed Laurent polynomial, or at a fixed
+    q0 = p/r the value times int scales.  ``weights`` maps every bond
+    (i, j, orientation) of the rectangle to its encoded weight, a pair
+    (m, k) that stands for the int m << k, so a cell is W_h * (its
+    horizontal neighbour) + W_v * (its vertical neighbour) in plain ints.
+    Reading a point decodes its int into a LaurentPoly, or into a Fraction
+    when the table was swept at a fixed q; points off the rectangle read as
+    that ring's 0.
     """
 
-    __slots__ = ("values", "zero")
+    __slots__ = ("values", "weights", "origin", "_decode")
 
-    def __init__(self, values: dict[Point, LaurentPoly | Fraction], zero: LaurentPoly | Fraction):
+    def __init__(self, values: dict[tuple[int, int], int],
+                 weights: dict[tuple[int, int, str], tuple[int, int]], origin: Point,
+                 decode: Callable[[int, int, int], LaurentPoly | Fraction]):
         self.values = values
-        self.zero = zero
+        self.weights = weights
+        self.origin = origin
+        self._decode = decode
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
-        return self.values.get(point, self.zero)
+        return self.read(self.values.get(point, 0), point)
+
+    def read(self, n: int, point: Point) -> LaurentPoly | Fraction:
+        """Decode n as the value of a cell at point.
+
+        The encoding of a value depends only on how many horizontal and
+        vertical steps it spans, so a sum of products of cells and weights
+        along whole paths from one corner to the other reads at the far
+        corner.
+        """
+        origin = self.origin
+        return self._decode(n, abs(point[0] - origin[0]), abs(point[1] - origin[1]))
 
 
-def evaluated_weight(scheme: WeightScheme, q0: Fraction) -> Callable[[int, int, str], Fraction]:
-    """The scheme's bond weight at q = q0, evaluating each distinct weight once."""
-    cache: dict[LaurentPoly, Fraction] = {}
+def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | None):
+    """Encode every bond weight of the nonempty rectangle [start, end] as an int.
 
-    def weight(i: int, j: int, orientation: str) -> Fraction:
-        w = scheme.bond_weight(i, j, orientation)
-        value = cache.get(w)
-        if value is None:
-            value = cache[w] = w.evaluate(q0)
-        return value
+    Returns (weights, decode) as PartitionTable holds them; decode(n, a, b)
+    reads a value that spans a horizontal and b vertical steps.  The
+    exponents of each orientation o are offset by V_o = min(0, lowest
+    exponent), so such a value is offset by a*V_h + b*V_v.
+    - Polynomials (Kronecker substitution): offset exponents are strided by
+      g, their gcd, and q^e goes to the w-bit slot (e - V_o) / g; w is the
+      bit length of C(n+m, n) * A^(n+m), A the largest sum of |coefficients|
+      of one weight, plus a sign bit if any coefficient is negative.
+    - At q0 = p/r, with D_o = max(0, highest exponent), a weight is its
+      value times the int S_o = p^(-V_o) * r^(D_o), and the value above
+      reads N / (S_h^a * S_v^b).
+    Offsets per orientation leave a weight of 1, such as every vertical
+    weight of the named schemes, encoded as 1.  An encoded weight is
+    stored as (m, k), the int m << k with m odd, so a product by a power
+    of 2, such as a monomial's code, is a shift.  Most tables are a few
+    cells, so the set-up is plain loops: one over the bonds, one over the
+    distinct weights, keyed by their raw terms (hashing a LaurentPoly
+    sorts them), and one that hands each bond its code.
+    """
+    bond_weight = scheme.bond_weight
+    terms = {}   # bond -> raw terms of its weight
+    codes = {}   # (orientation, raw terms) -> its code
+    for i in range(start.i, end.i + 1):
+        for j in range(start.j, end.j + 1):
+            if i < end.i:
+                t = terms[i, j, H_STEP] = tuple(bond_weight(i, j, H_STEP)._terms.items())
+                codes[H_STEP, t] = None
+            if j < end.j:
+                t = terms[i, j, V_STEP] = tuple(bond_weight(i, j, V_STEP)._terms.items())
+                codes[V_STEP, t] = None
+    lows = {H_STEP: 0, V_STEP: 0}
+    highs = {H_STEP: 0, V_STEP: 0}
+    bound, signed = 1, False
+    for o, t in codes:
+        size = 0
+        for e, c in t:
+            if e < lows[o]:
+                lows[o] = e
+            elif e > highs[o]:
+                highs[o] = e
+            size += abs(c)
+            if c < 0:
+                signed = True
+        bound = max(bound, size)
+    low_h, low_v = lows[H_STEP], lows[V_STEP]
+    if q0 is None:
+        stride = 0
+        for o, t in codes:
+            for e, _ in t:
+                stride = math.gcd(stride, e - lows[o])
+        stride = stride or 1
+        di, dj = end.i - start.i, end.j - start.j
+        width = max(1, (math.comb(di + dj, di) * bound ** (di + dj)).bit_length()) + signed
+        for key in codes:
+            o, t = key
+            n = 0
+            for e, c in t:
+                n += c << width * ((e - lows[o]) // stride)
+            codes[key] = _odd_and_shift(n)
 
-    return weight
+        def decode(n: int, a: int, b: int) -> LaurentPoly:
+            return unpack(n, width, stride, a * low_h + b * low_v, signed)
+    else:
+        p, r = q0.numerator, q0.denominator
+        if p == 0 and (low_h < 0 or low_v < 0):
+            raise ZeroToNegativePower("negative power of q at q = 0")
+        for key in codes:
+            o, t = key
+            n = 0
+            for e, c in t:
+                n += c * p ** (e - lows[o]) * r ** (highs[o] - e)
+            codes[key] = _odd_and_shift(n)
+        scale_h = p ** -low_h * r ** highs[H_STEP]
+        scale_v = p ** -low_v * r ** highs[V_STEP]
+
+        def decode(n: int, a: int, b: int) -> Fraction:
+            return Fraction(n, scale_h ** a * scale_v ** b)
+    for bond, t in terms.items():
+        terms[bond] = codes[bond[2], t]
+    return terms, decode
+
+
+def _odd_and_shift(n: int) -> tuple[int, int]:
+    """(m, k) with n == m << k and m odd (0 gives (0, 0))."""
+    k = (n & -n or 1).bit_length() - 1
+    return n >> k, k
 
 
 def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> PartitionTable:
@@ -84,31 +184,36 @@ def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> Par
 
     step +1 grows from start, so values[Q] = Z(start, Q); step -1 grows
     from end, so values[Q] = Z(Q, end).  Each diagonal i+j = const reads
-    only the one swept before it.  With q0 given, every value is Z at
-    q = q0, an exact Fraction; otherwise it is the Laurent polynomial.
+    only the one swept before it.  Every cell is one int, so the ring
+    enters only through the encoded weights and the decoder: with q0
+    given, a cell reads as Z at q = q0, an exact Fraction; otherwise as the
+    Laurent polynomial.
     """
-    if q0 is None:
-        weight, zero, one = scheme.bond_weight, ZERO, ONE
-    else:
-        weight, zero, one = evaluated_weight(scheme, Fraction(q0)), Fraction(0), Fraction(1)
-    values: dict[Point, LaurentPoly | Fraction] = {}
-    if end.dominates(start):
-        oi, oj = origin = start if step == 1 else end
-        values[origin] = one
-        # a bond's tail is its lower end: the cell behind when growing from
-        # start, the cell itself when growing from end
-        lag = 1 if step == 1 else 0
-        total = (end.i - start.i) + (end.j - start.j)
-        for radius in range(1, total + 1):
-            for q in diagonal(oi + oj + step * radius, start, end):
-                i, j = q
-                acc = zero
-                if i != oi:
-                    acc = acc + weight(i - lag, j, H_STEP) * values[i - step, j]
-                if j != oj:
-                    acc = acc + weight(i, j - lag, V_STEP) * values[i, j - step]
-                values[q] = acc
-    return PartitionTable(values, zero)
+    origin = start if step == 1 else end
+    if end.i < start.i or end.j < start.j:
+        zero = ZERO if q0 is None else Fraction(0)
+        return PartitionTable({}, {}, origin, lambda n, a, b: zero)
+    weights, decode = _encoding(scheme, start, end, None if q0 is None else Fraction(q0))
+    oi, oj = origin
+    values = {origin: 1}
+    # a bond's tail is its lower end: the cell behind when growing from
+    # start, the cell itself when growing from end
+    lag = 1 if step == 1 else 0
+    for radius in range(1, (end.i - start.i) + (end.j - start.j) + 1):
+        s = oi + oj + step * radius   # the diagonal i + j = s, in increasing i
+        for i in range(max(start.i, s - end.j), min(end.i, s - start.j) + 1):
+            j = s - i
+            n = 0
+            # m is 1 for a weight that is a power of 2, such as q^e with coefficient
+            # 1 in a packed polynomial; skip that product, which only copies
+            if i != oi:
+                m, k = weights[i - lag, j, H_STEP]
+                n = (values[i - step, j] if m == 1 else m * values[i - step, j]) << k
+            if j != oj:
+                m, k = weights[i, j - lag, V_STEP]
+                n += (values[i, j - step] if m == 1 else m * values[i, j - step]) << k
+            values[i, j] = n
+    return PartitionTable(values, weights, origin, decode)
 
 
 def forward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:
@@ -138,17 +243,25 @@ def partition_bruteforce(scheme: WeightScheme, start: Point, end: Point) -> Laur
 def interface_closed_form(n: int, m: int) -> LaurentPoly:
     """Closed form of the interface partition function from the origin to (n, m).
 
-    q^(n(n+1)) times the Gaussian binomial in q^2; zero by convention when
-    either argument is negative (that convention is what the convolution
-    identities below rely on).
+    q^(n(n+1)) times the Gaussian binomial [n+m, n] in x = q^2, zero by
+    convention when either argument is negative (that convention is what
+    the convolution identities below rely on).  The binomial is built as
+    the product of (1 - x^(b+i)) / (1 - x^i) over i = 1..a, with a, b the
+    smaller and larger argument, on one coefficient list: each factor is a
+    shifted subtraction, then a running sum.  Every partial product is
+    [b+i, i], a polynomial, so each division is exact.
     """
     if n < 0 or m < 0:
         return ZERO
-    numerator = LaurentPoly.q_power(n * (n + 1)) * qsquare_factorial_product(n + m)
-    try:
-        return numerator.div_exact(qsquare_factorial_product(n) * qsquare_factorial_product(m))
-    except NotDivisible as exc:  # pragma: no cover - identity guarantees divisibility
-        raise InternalIdentityFailure(f"closed form not divisible at ({n}, {m})") from exc
+    a, b = min(n, m), max(n, m)
+    coeffs = [1]   # [b, 0] in x, lowest power first
+    for i in range(1, a + 1):
+        pad = [0] * (b + i)
+        coeffs = [c - d for c, d in zip(coeffs + pad, pad + coeffs)]
+        for residue in range(i):
+            coeffs[residue::i] = itertools.accumulate(coeffs[residue::i])
+        del coeffs[-i:]   # the division leaves no remainder, so the top i vanish
+    return LaurentPoly({n * (n + 1) + 2 * k: c for k, c in enumerate(coeffs)})
 
 
 def translated_interface(start: Point, end: Point, ref: Point) -> LaurentPoly:
@@ -295,14 +408,12 @@ def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]
         raise ValueError("q0 must lie in (0, 1)")
     scheme = PinnedRep1(K=inst.K, L=inst.L)
     end = Point(inst.N, inst.M)
-    fwd = forward_table(scheme, ORIGIN, end, q0)
-    bwd = backward_table(scheme, ORIGIN, end, q0)
-    z = fwd[end]
-    out = []
-    for n in range(max(0, inst.K - inst.M), min(inst.K, inst.N) + 1):
-        q_pt = Point(n, inst.K - n)
-        out.append((n, fwd[q_pt] * bwd[q_pt] / z))
-    return out
+    fwd = forward_table(scheme, ORIGIN, end, q0).values
+    bwd = backward_table(scheme, ORIGIN, end, q0).values
+    # a path through a point splits into a forward and a backward part, so
+    # their encoded product scales as Z does and the ratio is taken in ints
+    return [(n, Fraction(fwd[n, inst.K - n] * bwd[n, inst.K - n], fwd[end]))
+            for n in range(max(0, inst.K - inst.M), min(inst.K, inst.N) + 1)]
 
 
 def verify_average_representation(inst: PinnedInstance, q0) -> dict:

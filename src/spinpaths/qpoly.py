@@ -55,7 +55,12 @@ class LaurentPoly:
     @classmethod
     def q_power(cls, exponent: int) -> "LaurentPoly":
         """The monomial q^exponent."""
-        return cls({exponent: 1})
+        if type(exponent) is not int:
+            return cls({exponent: 1})   # a bool or a non-int goes through the checks
+        # the weight schemes build one monomial per bond: skip the term checks
+        out = cls.__new__(cls)
+        out._terms = {exponent: 1}
+        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -259,6 +264,45 @@ def _coerce(value) -> LaurentPoly:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
+
+
+def unpack(n: int, width: int, stride: int, shift: int, signed: bool) -> LaurentPoly:
+    """Invert a Kronecker substitution: the polynomial whose coefficient at
+    q^(shift + stride*s) is slot s of n, the s-th width-bit field from the
+    low end.
+
+    Unsigned slots hold coefficients in [0, 2^width); signed slots hold
+    them in [-2^(width-1), 2^(width-1)) and may borrow from the slot above.
+    One binary rendering of n and one int() per slot keep this linear in
+    the size of n.
+    """
+    if not n:
+        return ZERO
+    # drop the empty low slots; what is left is often a single slot
+    empty = ((n & -n).bit_length() - 1) // width
+    n >>= width * empty
+    shift += stride * empty
+    half = 1 << (width - 1) if signed else 0
+    out = LaurentPoly.__new__(LaurentPoly)
+    if -half <= n < (1 << width) - half:
+        out._terms = {shift: n}   # one slot left: n is its coefficient
+        return out
+    if signed:
+        # adding 2^(width-1) to every slot makes each one a plain unsigned field; a
+        # top slot of 1 over a lower slot near -2^(width-1) leaves n one bit short
+        slots = n.bit_length() // width + 2
+        bits = format(n + int(("1" + "0" * (width - 1)) * slots, 2), "b").zfill(slots * width)
+    else:
+        bits = format(n, "b")
+        bits = bits.zfill(-(-len(bits) // width) * width)
+    top = shift + stride * (len(bits) // width - 1)
+    terms = {}
+    for k in range(0, len(bits), width):
+        c = int(bits[k:k + width], 2) - half
+        if c:
+            terms[top - stride * (k // width)] = c
+    out._terms = terms
+    return out
 
 
 def qsquare_factorial_product(k: int) -> LaurentPoly:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlations import DegenerateEnsemble
 from .lattice import H_STEP, LatticePath, Point, V_STEP
-from .partition import InternalIdentityFailure, backward_table, evaluated_weight
+from .partition import InternalIdentityFailure, backward_table
 from .weights import WeightScheme
 
 
@@ -46,10 +46,12 @@ class SamplerState:
         self.q0 = q0
         self.seed = seed
         backward = backward_table(scheme, start, end, q0)
-        if backward[start] == 0:
+        values, weights = backward.values, backward.weights
+        if values[start] == 0:
             raise DegenerateEnsemble(f"Z{start}->{end} = 0 at q = {q0}")
-        weight = evaluated_weight(scheme, q0)
 
+        # a step's probability is W * Z(next) / Z(here); the encodings' scales
+        # cancel in the ratio, so it is formed from the encoded ints directly
         di = end.i - start.i
         dj = end.j - start.j
         prob_h = np.zeros((di + 1, dj + 1), dtype=np.float64)
@@ -58,19 +60,20 @@ class SamplerState:
                 if a == di and b == dj:
                     continue
                 i, j = start.i + a, start.j + b
-                z_here = backward[i, j]
+                z_here = values[i, j]
                 if z_here == 0:
                     continue  # unreachable at this q; probability never consulted
-                p_h = Fraction(0)
-                p_v = Fraction(0)
+                h = v = 0
                 if a < di:
-                    p_h = weight(i, j, H_STEP) * backward[i + 1, j] / z_here
+                    m, k = weights[i, j, H_STEP]
+                    h = (m * values[i + 1, j]) << k
                 if b < dj:
-                    p_v = weight(i, j, V_STEP) * backward[i, j + 1] / z_here
-                if p_h + p_v != 1:
+                    m, k = weights[i, j, V_STEP]
+                    v = (m * values[i, j + 1]) << k
+                if h + v != z_here:
                     raise InternalIdentityFailure(
-                        f"step probabilities at {Point(i, j)} sum to {p_h + p_v}")
-                prob_h[a, b] = float(p_h)
+                        f"step probabilities at {Point(i, j)} sum to {Fraction(h + v, z_here)}")
+                prob_h[a, b] = h / z_here   # int true division rounds correctly
         self.prob_h = prob_h
         self.rng = np.random.Generator(np.random.Philox(key=seed))
 

@@ -8,7 +8,7 @@ import pytest
 from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, Point, SamplerState,
                        sample_paths)
 from spinpaths import partition, sampler
-from spinpaths.cli import main, parse_rational
+from spinpaths.cli import build_parser, main, parse_rational
 from spinpaths.sampler import BLOCK
 
 
@@ -221,6 +221,25 @@ class TestUsageErrors:
                            "--to", "north")
         assert code == 2
         assert "point" in err
+
+
+class TestParserReuse:
+    def test_calls_in_a_row_match_calls_alone(self, capsys):
+        # the parser is built once per process; append options must not carry over
+        requests = [
+            ("correlate", "--scheme", "interface", "--to", "2,2", "--through", "1,1",
+             "--through", "1,2", "--q", "1/2"),
+            ("correlate", "--scheme", "interface", "--to", "2,2", "--q", "1/2"),
+            ("verify", "--max-K", "0", "--max-L", "1", "--q", "1/2", "--q", "3/10"),
+            ("verify", "--max-K", "0", "--max-L", "1"),
+        ]
+        alone = {}
+        for argv in requests:
+            build_parser.cache_clear()
+            alone[argv] = run(capsys, *argv)
+        assert build_parser() is build_parser()
+        for argv in requests + requests[::-1]:
+            assert run(capsys, *argv) == alone[argv]
 
 
 class TestCleanExits:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
-                       PinnedRep1, PinnedRep2, Point, backward_table,
+                       PinnedRep1, PinnedRep2, Point, SamplerState, ZeroToNegativePower,
+                       backward_table,
                        enumerate_paths,
                        forward_table, interface_closed_form,
                        partition_bruteforce, partition_dp,
@@ -15,8 +16,9 @@ from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
                        pinning_distribution, rec1_readings, sphere,
                        translated_interface, verify_average_representation,
                        verify_rec2)
-from spinpaths.lattice import horizontal_bond, vertical_bond
+from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
 from spinpaths.partition import verify_rec1
+from spinpaths.qpoly import ONE, ZERO
 
 ORIGIN = Point(0, 0)
 
@@ -26,6 +28,43 @@ open_unit_rationals = st.builds(lambda n, d: Fraction(n, n + d), st.integers(1, 
 
 def poly(terms):
     return LaurentPoly(terms)
+
+
+# signed weights of up to three terms, some with a coefficient near 2**40:
+# they drive the packed sweep's sign bit and wide slots
+signed_weight = st.dictionaries(
+    st.integers(-3, 3), st.one_of(st.integers(-2, 2), st.sampled_from([2**40 + 1, 3 - 2**40])),
+    max_size=3).map(poly)
+
+
+def custom_scheme(data, cells):
+    """A CustomTable over a few of the rectangle's bonds, drawn by Hypothesis."""
+    bonds = [make(q) for q in cells for make in (horizontal_bond, vertical_bond)]
+    if not bonds:
+        return CustomTable()
+    return CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), signed_weight,
+                                                       max_size=6)))
+
+
+def reference_tables(scheme, start, end):
+    """Forward and backward tables by the dict-polynomial sweep: the slow path."""
+    cells = [(i, j) for i in range(start.i, end.i + 1) for j in range(start.j, end.j + 1)]
+    fwd, bwd = {}, {}
+    for i, j in cells:   # left and below come first
+        z = ONE if (i, j) == start else ZERO
+        if i > start.i:
+            z = z + scheme.bond_weight(i - 1, j, H_STEP) * fwd[i - 1, j]
+        if j > start.j:
+            z = z + scheme.bond_weight(i, j - 1, V_STEP) * fwd[i, j - 1]
+        fwd[i, j] = z
+    for i, j in reversed(cells):   # right and above come first
+        z = ONE if (i, j) == end else ZERO
+        if i < end.i:
+            z = z + scheme.bond_weight(i, j, H_STEP) * bwd[i + 1, j]
+        if j < end.j:
+            z = z + scheme.bond_weight(i, j, V_STEP) * bwd[i, j + 1]
+        bwd[i, j] = z
+    return fwd, bwd
 
 
 class TestPartitionDP:
@@ -59,6 +98,16 @@ class TestPartitionDP:
             for m in range(4):
                 z = partition_dp(scheme, ORIGIN, Point(n, m))
                 assert z == LaurentPoly({0: len(enumerate_paths(ORIGIN, Point(n, m)))})
+
+    def test_custom_table_extreme_coefficients(self):
+        # a single bond or a single path makes the slot bound tight, signs included
+        big, q0 = 2**40 - 3, Fraction(2, 3)
+        for w in (poly({2: -big}), poly({-1: big, 3: -1}), poly({0: -big, 2: big})):
+            for end in (Point(1, 0), Point(2, 0), Point(1, 1)):
+                scheme = CustomTable(default=w)
+                z = partition_bruteforce(scheme, ORIGIN, end)
+                assert partition_dp(scheme, ORIGIN, end) == z
+                assert partition_dp(scheme, ORIGIN, end, q0) == z.evaluate(q0)
 
     def test_custom_table_vertical_weights_respected(self):
         scheme = CustomTable(table={vertical_bond(ORIGIN): poly({1: 1})})
@@ -109,11 +158,7 @@ class TestPartitionTables:
             L = max(data.draw(st.integers(0, 3)), end.i + end.j - K - 1)
             scheme = PinnedRep1(K=K, L=L)
         else:
-            bonds = [make(q) for q in cells for make in (horizontal_bond, vertical_bond)]
-            monomial = st.builds(lambda c, e: poly({e: c}), st.integers(-2, 2),
-                                 st.integers(-3, 3))
-            table = data.draw(st.dictionaries(st.sampled_from(bonds), monomial)) if bonds else {}
-            scheme = CustomTable(table=table)
+            scheme = custom_scheme(data, cells)
         q0 = data.draw(open_unit_rationals)
         fwd = forward_table(scheme, start, end)
         bwd = backward_table(scheme, start, end)
@@ -135,6 +180,53 @@ class TestPartitionTables:
         assert partition_dp(scheme, start, end, q0) == fwd_q[end]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_sweep_matches_dict_polynomial_sweep(data):
+    # every cell of both rings against the slow path, on rectangles up to 12x12
+    start = Point(data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6)))
+    end = start.translate(data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12)))
+    cells = [Point(i, j) for i in range(start.i, end.i + 1) for j in range(start.j, end.j + 1)]
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    if kind == "interface":
+        scheme = InterfaceXXZ()
+    elif kind == "rep2":
+        scheme = PinnedRep2()
+    elif kind == "rep1":
+        K = data.draw(st.integers(0, 8))
+        scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1))
+    else:
+        scheme = custom_scheme(data, cells)
+    q0 = Fraction(data.draw(st.integers(-12, 12).filter(bool)), data.draw(st.integers(1, 12)))
+    fwd_ref, bwd_ref = reference_tables(scheme, start, end)
+    fwd, bwd = forward_table(scheme, start, end), backward_table(scheme, start, end)
+    fwd_q, bwd_q = forward_table(scheme, start, end, q0), backward_table(scheme, start, end, q0)
+    for q in cells:
+        assert fwd[q] == fwd_ref[q] and bwd[q] == bwd_ref[q]
+        assert fwd_q[q] == fwd_ref[q].evaluate(q0) and bwd_q[q] == bwd_ref[q].evaluate(q0)
+
+
+class TestZeroQ:
+    def test_negative_power_is_refused(self):
+        # left of the anti-diagonal the interface weighs negative powers of q
+        start, end = Point(-2, -2), Point(1, 1)
+        for sweep in (forward_table, backward_table, partition_dp):
+            with pytest.raises(ZeroToNegativePower):
+                sweep(InterfaceXXZ(), start, end, 0)
+        with pytest.raises(ZeroToNegativePower):
+            SamplerState(InterfaceXXZ(), start, end, 0, 0)
+        vertical = CustomTable(table={vertical_bond(ORIGIN): poly({-1: 1})})
+        with pytest.raises(ZeroToNegativePower):
+            partition_dp(vertical, ORIGIN, Point(0, 1), 0)
+
+    def test_nonnegative_powers_sweep(self):
+        assert partition_dp(InterfaceXXZ(), ORIGIN, Point(2, 1), 0) == 0
+        assert partition_dp(InterfaceXXZ(), ORIGIN, Point(0, 3), 0) == 1
+        assert partition_dp(CustomTable(default=poly({0: 2, 1: 5})), ORIGIN, Point(1, 1), 0) == 8
+        # a rectangle without bonds weighs nothing, so nothing is refused
+        assert partition_dp(InterfaceXXZ(), Point(-2, -2), Point(-2, -2), 0) == 1
+
+
 class TestClosedForm:
     def test_one_one(self):
         assert interface_closed_form(1, 1) == poly({2: 1, 4: 1})
@@ -149,6 +241,12 @@ class TestClosedForm:
     def test_negative_arguments_are_zero(self):
         assert not interface_closed_form(-1, 2)
         assert not interface_closed_form(2, -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(-2, 14), st.integers(-2, 14))
+    def test_matches_sweep(self, n, m):
+        # a negative argument is an empty rectangle: both sides are 0
+        assert interface_closed_form(n, m) == partition_dp(InterfaceXXZ(), ORIGIN, Point(n, m))
 
     def test_equals_both_computations(self):
         for n in range(6):

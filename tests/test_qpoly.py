@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from spinpaths import (LaurentPoly, NotDivisible, ZeroToNegativePower,
-                       qsquare_factorial_product)
+from spinpaths import LaurentPoly, NotDivisible, ZeroToNegativePower
+from spinpaths.qpoly import qsquare_factorial_product, unpack
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -169,3 +169,21 @@ class TestValueContracts:
     def test_bool_operand_acts_as_its_int(self):
         assert ONE == True  # noqa: E712 - bool is compared as the int it equals
         assert ONE + True == poly({0: 2})
+
+
+@given(st.integers(2, 12), st.integers(1, 3), st.integers(-20, 20), st.data())
+@example(4, 1, 0, None)
+def test_unpack_inverts_packing(width, stride, shift, data):
+    # coefficients fill their slots up to the edge; a top slot of 1 over two
+    # slots of -2^(width-1) packs to an int a bit shorter than three slots
+    half = 1 << (width - 1)
+    if data is None:
+        coeffs, signed = [-half, -half, 1], True
+    else:
+        signed = data.draw(st.booleans())
+        slot = st.integers(-half, half - 1) if signed else st.integers(0, 2 * half - 1)
+        coeffs = data.draw(st.lists(st.one_of(slot, st.sampled_from([0, half - 1])), max_size=8))
+    n = sum(c << width * s for s, c in enumerate(coeffs))
+    expected = LaurentPoly({shift + stride * s: c for s, c in enumerate(coeffs)})
+    assert unpack(n, width, stride, shift, signed) == expected
+
