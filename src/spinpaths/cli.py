@@ -135,17 +135,16 @@ def cmd_norm(args) -> int:
 def cmd_sample(args) -> int:
     scheme = _scheme(args)
     q0 = parse_rational(args.q)
-    state = sampler.SamplerState(scheme, parse_point(args.frm), parse_point(args.to),
-                                 q0, args.seed)
-    counts: dict[str, int] = {}
+    start = parse_point(args.frm)
+    state = sampler.SamplerState(scheme, start, parse_point(args.to), q0, args.seed)
+    distinct: set[str] = set()
     # one call even for --n <= 0, so the kernel's own check rejects a negative count
     for done in range(0, max(args.n, 1), sampler.BLOCK):
-        for path in sampler.sample_paths(state, min(sampler.BLOCK, args.n - done)):
-            text = path.text()
-            counts[text] = counts.get(text, 0) + 1
-            print(text)
+        words = sampler.sample_words(state, min(sampler.BLOCK, args.n - done))
+        distinct.update(words)
+        sys.stdout.write("".join(f"{start}:{word}\n" for word in words))
     summary = {"schema": SCHEMA_SAMPLE, "n": args.n, "seed": args.seed,
-               "scheme": args.scheme, "q": str(q0), "distinct": len(counts)}
+               "scheme": args.scheme, "q": str(q0), "distinct": len(distinct)}
     print(json.dumps(summary), file=sys.stderr)
     return 0
 

@@ -99,29 +99,35 @@ def sample_step_matrix(state: SamplerState, samples: int) -> np.ndarray:
         raise ValueError(f"sample count {samples} is negative")
     di = state.end.i - state.start.i
     dj = state.end.j - state.start.j
+    # cell (a, b) sits at a*(dj+1) + b: an H step moves dj+1 cells, a V step
+    # one.  The table forces the boundary steps by itself: prob_h is exactly
+    # 0.0 where a = di (h = 0) and exactly 1.0 where b = dj (v = 0, so
+    # h = Z), and a cell with Z = 0 is entered with probability exactly 0.
+    prob_h = state.prob_h.ravel()
     out = np.empty((samples, di + dj), dtype=bool)
     for lo in range(0, samples, BLOCK):
         block = out[lo:lo + BLOCK]
         uniform = state.rng.random(block.shape)
-        ai = np.zeros(len(block), dtype=np.intp)
-        bj = np.zeros(len(block), dtype=np.intp)
+        cell = np.zeros(len(block), dtype=np.intp)
         for t in range(di + dj):
-            take_h = uniform[:, t] < state.prob_h[ai, bj]
-            # exhausted coordinates force the other step
-            take_h[ai == di] = False
-            take_h[bj == dj] = True
+            take_h = uniform[:, t] < prob_h[cell]
             block[:, t] = take_h
-            ai += take_h
-            bj += ~take_h
+            cell += 1 + dj * take_h
     return out
+
+
+def sample_words(state: SamplerState, samples: int) -> list[str]:
+    """Draw `samples` step words ('H'/'V' strings) exactly from w(p)/Z,
+    advancing the state's stream; each starts at `state.start`."""
+    matrix = sample_step_matrix(state, samples)
+    total = matrix.shape[1]
+    words = np.where(matrix, ord(H_STEP), ord(V_STEP)).astype(np.uint8).tobytes().decode()
+    return [words[r * total:(r + 1) * total] for r in range(samples)]
 
 
 def sample_paths(state: SamplerState, samples: int) -> list[LatticePath]:
     """Draw `samples` paths exactly from w(p)/Z, advancing the state's stream."""
-    matrix = sample_step_matrix(state, samples)
-    total = matrix.shape[1]
-    words = np.where(matrix, ord(H_STEP), ord(V_STEP)).astype(np.uint8).tobytes().decode()
-    return [LatticePath(state.start, words[r * total:(r + 1) * total]) for r in range(samples)]
+    return [LatticePath(state.start, word) for word in sample_words(state, samples)]
 
 
 def sample_path(state: SamplerState) -> LatticePath:

@@ -1,9 +1,12 @@
 """The quantum side: spin configurations, ground-state amplitudes, the spin
-to path bijections, and a dense-matrix Hamiltonian oracle.
+to path bijections, and a matrix-free Hamiltonian oracle.
 
 The combinatorial layer stays exact (amplitudes are monomials in q); the
 Hamiltonian oracle deliberately works in floating point, since its only
-job is to certify a residual below 1e-10.
+job is to certify a residual below 1e-10.  It holds each basis state as
+the sorted sites of its down spins and applies H to a vector in numpy
+without forming the dimension x dimension matrix, so its memory is
+dimension x N integers (H. Q. Lin, Phys. Rev. B 42, 6561, 1990).
 """
 
 from __future__ import annotations
@@ -53,15 +56,27 @@ class SpinConfig:
         return cls(L, K, tuple(word))
 
 
-def sector_configs(L: int, K: int, N: int) -> list[SpinConfig]:
-    """All configurations with N down spins, in lexicographic order of the
-    occupation word read from site -L to K (the basis order of the oracle)."""
-    sites = L + K + 1
+def _check_enumerable(sites: int, N: int) -> None:
     if not 0 <= N <= sites:
         raise ValueError(f"N must lie in [0, {sites}]")
     count = math.comb(sites, N)
     if count > CONFIG_ENUMERATION_LIMIT:
         raise EnsembleTooLarge(f"{count} configurations exceeds {CONFIG_ENUMERATION_LIMIT}")
+
+
+def _positions(sites: int, n: int) -> np.ndarray:
+    """Every n-subset of range(sites) as a row, ascending within a row, rows
+    in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(sites), n))
+    count = math.comb(sites, n)
+    return np.fromiter(flat, dtype=np.int64, count=count * n).reshape(count, n)
+
+
+def sector_configs(L: int, K: int, N: int) -> list[SpinConfig]:
+    """All configurations with N down spins, in lexicographic order of the
+    occupation word read from site -L to K (the basis order of the oracle)."""
+    sites = L + K + 1
+    _check_enumerable(sites, N)
     words = []
     for positions in itertools.combinations(range(sites), N):
         word = [0] * sites
@@ -98,12 +113,23 @@ def eigen_ratio_check(config: SpinConfig, x: int) -> bool:
 
 def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     """Squared norm of the sector-N ground state, by brute-force summation of
-    squared amplitudes over every configuration (the quantum-side oracle)."""
-    total = LaurentPoly.zero()
-    for config in sector_configs(L, K, N):
-        amp = amplitude(config)
-        total = total + LaurentPoly.q_power(2 * amp.degree())
-    return total
+    squared amplitudes over every configuration (the quantum-side oracle).
+
+    Each configuration is enumerated by the sites of its minority spin
+    species, so a chain of 10^5 sites with one spin of either kind costs
+    10^5 short rows, not 10^5 words of 10^5 sites.
+    """
+    sites = L + K + 1
+    _check_enumerable(sites, N)
+    if L < 0 or K < 0:
+        raise ValueError("L and K must be nonnegative")
+    n = min(N, sites - N)
+    # sum |x| over the minority sites; over the up sites it is the complement
+    exponents = np.abs(_positions(sites, n) - L).sum(axis=1)
+    if n < N:
+        exponents = (L * (L + 1) + K * (K + 1)) // 2 - exponents
+    values, counts = np.unique(exponents, return_counts=True)
+    return LaurentPoly({2 * e: c for e, c in zip(values.tolist(), counts.tolist())})
 
 
 # -- spin <-> path bijections -------------------------------------------------
@@ -140,22 +166,56 @@ def config_to_path_rep2(config: SpinConfig) -> LatticePath:
 
 @dataclass
 class HamiltonianOracle:
-    """Dense sector Hamiltonian at a numeric q, plus its basis bookkeeping."""
+    """Sector Hamiltonian at a numeric q, applied without forming its matrix.
+
+    Row r of `positions` lists the down-spin sites 0..sites-1 (site x sits
+    at x + L) of basis state r; rows run in lexicographic order of the
+    occupation word read from site -L, as `sector_configs` lists them.
+    """
 
     L: int
     K: int
     N: int
     q0: float
-    matrix: np.ndarray
-    basis: list[SpinConfig]
+    positions: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.positions)
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """H @ psi for a vector or a dimension x k block of column vectors.
+
+        Each bond term acts on a (down, up) / (up, down) pair only, so every
+        off-diagonal pair is met once, from the state whose down spin k at
+        site p may hop to an empty p+1.  The combinatorial number system
+        puts that neighbour C(sites-2-p, N-1-k) rows above (D. E. Knuth,
+        TAOCP 4A, 7.2.1.3), so no lookup is needed.
+        """
+        psi = np.asarray(psi, dtype=np.float64)
+        block = psi.reshape(self.dimension, -1)
+        out = np.zeros_like(block)
+        sites, N = self.L + self.K + 1, self.N
+        # per bond p -> p+1 (site x = p - L); bonds left of the origin use 1/q0
+        qx = np.where(np.arange(sites - 1) >= self.L, self.q0, 1.0 / self.q0)
+        c = 1.0 / (qx + 1.0 / qx)
+        down_up, up_down = c * qx, c / qx
+        for k in range(N):
+            p = self.positions[:, k]
+            after = self.positions[:, k + 1] if k + 1 < N else sites
+            cols = np.flatnonzero(after > p + 1)
+            # spin k lies in [k, sites - N + k]; it can hop only below the top
+            shift = np.array([math.comb(sites - 2 - s, N - 1 - k)
+                              for s in range(k, sites - N + k)], dtype=np.int64)
+            hop = p[cols]
+            rows = cols - shift[hop - k]
+            out[cols] += down_up[hop, None] * block[cols] - c[hop, None] * block[rows]
+            out[rows] += up_down[hop, None] * block[rows] - c[hop, None] * block[cols]
+        return out.reshape(psi.shape)
 
 
 def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
-    """Assemble the chain Hamiltonian restricted to the N-down-spin sector.
+    """The chain Hamiltonian restricted to the N-down-spin sector.
 
     Each bond contributes a two-site projector-type term; bonds left of the
     origin use 1/q0 in place of q0.  The action on the four local states:
@@ -165,38 +225,30 @@ def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
     if not 0.0 < q0 < 1.0:
         raise ValueError("q0 must lie in (0, 1)")
     sites = L + K + 1
+    if not 0 <= N <= sites:
+        raise ValueError(f"N must lie in [0, {sites}]")
+    if L < 0 or K < 0:
+        raise ValueError("L and K must be nonnegative")
     dim = math.comb(sites, N)
     if dim > SECTOR_DIMENSION_LIMIT:
         raise EnsembleTooLarge(f"sector dimension {dim} exceeds {SECTOR_DIMENSION_LIMIT}")
-    basis = sector_configs(L, K, N)
-    index = {c.alpha: k for k, c in enumerate(basis)}
-    h = np.zeros((dim, dim), dtype=np.float64)
-    for col, config in enumerate(basis):
-        word = config.alpha
-        for x in range(-L, K):
-            p = x + L
-            pair = (word[p], word[p + 1])
-            if pair[0] == pair[1]:
-                continue
-            qx = q0 if x >= 0 else 1.0 / q0
-            c = 1.0 / (qx + 1.0 / qx)
-            swapped = list(word)
-            swapped[p], swapped[p + 1] = word[p + 1], word[p]
-            row = index[tuple(swapped)]
-            if pair == (1, 0):  # local (down, up)
-                h[col, col] += c * qx
-            else:  # local (up, down)
-                h[col, col] += c / qx
-            h[row, col] += -c
-    return HamiltonianOracle(L=L, K=K, N=N, q0=q0, matrix=h, basis=basis)
+    # combinations run opposite to the word order: a down spin further left
+    # makes a larger word
+    return HamiltonianOracle(L=L, K=K, N=N, q0=q0, positions=_positions(sites, N)[::-1])
 
 
 def ground_state_vector(oracle: HamiltonianOracle) -> np.ndarray:
-    """Component amplitude(config) at q0, in basis order (not normalized)."""
-    return np.array([float(oracle.q0) ** amplitude(c).degree() for c in oracle.basis])
+    """Component amplitude(config) at q0 in basis order, scaled so that the
+    largest component is 1 (the vector is not normalized).
+
+    The scale keeps the vector off zero: at (L, K, N) = (0, 40, 40) and
+    q0 = 0.3 every amplitude itself is below 1e-400 and rounds to 0.
+    """
+    exponents = np.abs(oracle.positions - oracle.L).sum(axis=1)
+    return float(oracle.q0) ** (exponents - exponents.min())
 
 
 def verify_ground_state(oracle: HamiltonianOracle) -> float:
     """Relative residual |H psi| / |psi| of the claimed ground state."""
     psi = ground_state_vector(oracle)
-    return float(np.linalg.norm(oracle.matrix @ psi) / np.linalg.norm(psi))
+    return float(np.linalg.norm(oracle.apply(psi)) / np.linalg.norm(psi))

@@ -52,6 +52,11 @@ class TestNormCommand:
         assert code == 0
         assert json.loads(out)["terms"] == {"0": "1", "2": "2"}
 
+    def test_wide_chain(self, capsys):
+        code, out, _ = run(capsys, "norm", "-K", "99999", "-L", "0", "-N", "1")
+        assert code == 0
+        assert json.loads(out)["terms"] == {str(2 * x): "1" for x in range(100_000)}
+
 
 class TestCorrelateCommand:
     def test_probability(self, capsys):
@@ -120,6 +125,12 @@ class TestSampleCommand:
                     for path in sample_paths(state, min(BLOCK, n - lo))]
         assert out.splitlines() == expected
         assert len(expected) == n
+
+    def test_summary_counts_distinct_paths(self, capsys):
+        code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "3,3",
+                             "--q", "4/5", "--seed", "8", "--n", "300")
+        assert code == 0
+        assert json.loads(err)["distinct"] == len(set(out.splitlines())) > 1
 
     def test_negative_count(self, capsys):
         code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",

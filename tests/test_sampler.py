@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from spinpaths import (CorrelationQuery, DegenerateEnsemble, InterfaceXXZ,
-                       PinnedRep1, Point, SamplerState, crossing_probability,
-                       enumerate_paths, estimate_crossing, partition_dp,
-                       sample_path, sample_paths, sample_step_matrix)
+from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
+                       InterfaceXXZ, LaurentPoly, PinnedRep1, PinnedRep2, Point,
+                       SamplerState, crossing_probability, enumerate_paths,
+                       estimate_crossing, partition_dp, sample_path,
+                       sample_paths, sample_step_matrix)
+from spinpaths.lattice import horizontal_bond, vertical_bond
+from spinpaths.sampler import BLOCK
 
 ORIGIN = Point(0, 0)
 HALF = Fraction(1, 2)
@@ -18,6 +22,66 @@ HALF = Fraction(1, 2)
 
 def make_state(end=Point(1, 1), scheme=None, seed=11, q0=HALF):
     return SamplerState(scheme or InterfaceXXZ(), ORIGIN, end, q0, seed)
+
+
+def masked_step_matrix(state, samples):
+    """The batch kernel with explicit boundary masks over (a, b) coordinates:
+    the slow reference for `sample_step_matrix`."""
+    di = state.end.i - state.start.i
+    dj = state.end.j - state.start.j
+    out = np.empty((samples, di + dj), dtype=bool)
+    for lo in range(0, samples, BLOCK):
+        block = out[lo:lo + BLOCK]
+        uniform = state.rng.random(block.shape)
+        ai = np.zeros(len(block), dtype=np.intp)
+        bj = np.zeros(len(block), dtype=np.intp)
+        for t in range(di + dj):
+            take_h = uniform[:, t] < state.prob_h[ai, bj]
+            take_h[ai == di] = False
+            take_h[bj == dj] = True
+            block[:, t] = take_h
+            ai += take_h
+            bj += ~take_h
+    return out
+
+
+def assert_kernels_agree(scheme, start, end, q0, seed, samples):
+    fast = SamplerState(scheme, start, end, q0, seed)
+    slow = SamplerState(scheme, start, end, q0, seed)
+    assert np.array_equal(sample_step_matrix(fast, samples), masked_step_matrix(slow, samples))
+    # the streams stay in step afterwards
+    assert np.array_equal(sample_step_matrix(fast, 3), masked_step_matrix(slow, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flat_kernel_matches_masked_reference(data):
+    start = Point(data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
+    end = start.translate(data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)))
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    if kind == "interface":
+        scheme = InterfaceXXZ()
+    elif kind == "rep1":
+        # every bond head inside rep1's domain, radius K+L+1
+        K = data.draw(st.integers(0, 3))
+        scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1))
+    elif kind == "rep2":
+        scheme = PinnedRep2()
+    else:
+        # positive coefficients keep every partition value positive at q0
+        bonds = [make(Point(i, j)) for i in range(start.i, end.i + 1)
+                 for j in range(start.j, end.j + 1) for make in (horizontal_bond, vertical_bond)]
+        monomial = st.builds(lambda c, e: LaurentPoly({e: c}), st.integers(1, 3),
+                             st.integers(-3, 3))
+        scheme = CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), monomial,
+                                                             max_size=8)))
+    q0 = Fraction(data.draw(st.integers(1, 12)), 13)
+    assert_kernels_agree(scheme, start, end, q0, data.draw(st.integers(0, 2**64)),
+                         data.draw(st.integers(0, 300)))
+
+
+def test_flat_kernel_matches_masked_reference_over_blocks():
+    assert_kernels_agree(InterfaceXXZ(), ORIGIN, Point(3, 4), Fraction(7, 13), 3, BLOCK + 5)
 
 
 class TestSamplePath:

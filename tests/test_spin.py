@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinpaths import (EnsembleTooLarge, LaurentPoly, PinnedRep1, PinnedRep2,
                        Point, SpinConfig, amplitude, build_hamiltonian,
@@ -17,6 +20,31 @@ from spinpaths.spin import eigen_ratio_check, ground_state_vector
 
 def mono(e):
     return LaurentPoly.q_power(e)
+
+
+def dense_hamiltonian(L, K, N, q0):
+    """The sector Hamiltonian as a dense matrix, assembled bond by bond over
+    the `sector_configs` basis: the slow reference for the oracle."""
+    basis = sector_configs(L, K, N)
+    index = {c.alpha: k for k, c in enumerate(basis)}
+    h = np.zeros((len(basis), len(basis)))
+    for col, config in enumerate(basis):
+        word = config.alpha
+        for x in range(-L, K):
+            p = x + L
+            if word[p] == word[p + 1]:
+                continue
+            qx = q0 if x >= 0 else 1.0 / q0
+            c = 1.0 / (qx + 1.0 / qx)
+            swapped = list(word)
+            swapped[p], swapped[p + 1] = word[p + 1], word[p]
+            h[col, col] += c * qx if word[p] == 1 else c / qx
+            h[index[tuple(swapped)], col] += -c
+    return h
+
+
+def oracle_matrix(oracle):
+    return oracle.apply(np.eye(oracle.dimension))
 
 
 class TestAmplitude:
@@ -76,6 +104,37 @@ class TestNormSquared:
                     nsq = norm_squared(L, K, N)
                     assert nsq == pinned_rep1(inst) == pinned_rep2(inst)
 
+    def test_wide_chain_one_down_spin(self):
+        start = time.perf_counter()
+        nsq = norm_squared(0, 99_999, 1)
+        assert time.perf_counter() - start < 1.0
+        assert nsq == LaurentPoly({2 * x: 1 for x in range(100_000)})
+
+    def test_wide_chain_one_up_spin(self):
+        start = time.perf_counter()
+        nsq = norm_squared(0, 99_998, 99_998)
+        assert time.perf_counter() - start < 1.0
+        total = 99_998 * 99_999 // 2
+        assert nsq == LaurentPoly({2 * (total - x): 1 for x in range(99_999)})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_configuration_sum(self, data):
+        # every sector of at most 10 sites
+        L = data.draw(st.integers(0, 9))
+        K = data.draw(st.integers(0, 9 - L))
+        N = data.draw(st.integers(0, L + K + 1))
+        total = LaurentPoly.zero()
+        for config in sector_configs(L, K, N):
+            total = total + mono(2 * amplitude(config).degree())
+        assert norm_squared(L, K, N) == total
+
+    def test_invalid_sector(self):
+        with pytest.raises(ValueError, match="N must lie"):
+            norm_squared(1, 1, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            norm_squared(-1, 1, 0)
+
 
 class TestBijections:
     def test_rep1_spec_trace(self):
@@ -127,22 +186,22 @@ class TestHamiltonian:
     def test_positive_semidefinite(self):
         for L, K, N, q0 in ((1, 1, 1, 0.5), (2, 2, 2, 0.3), (2, 3, 3, 0.8)):
             oracle = build_hamiltonian(L, K, N, q0)
-            eigenvalues = np.linalg.eigvalsh(oracle.matrix)
+            eigenvalues = np.linalg.eigvalsh(oracle_matrix(oracle))
             assert eigenvalues.min() >= -1e-12
 
     def test_symmetric(self):
-        oracle = build_hamiltonian(2, 2, 2, 0.4)
-        assert np.allclose(oracle.matrix, oracle.matrix.T, atol=0)
+        matrix = oracle_matrix(build_hamiltonian(2, 2, 2, 0.4))
+        assert np.allclose(matrix, matrix.T, atol=0)
 
     def test_empty_sector_is_zero_operator(self):
         oracle = build_hamiltonian(1, 2, 0, 0.5)
         assert oracle.dimension == 1
-        assert np.all(oracle.matrix == 0.0)
+        assert np.all(oracle_matrix(oracle) == 0.0)
 
     def test_explicit_small_chain(self):
         oracle = build_hamiltonian(1, 1, 1, 0.5)
         psi = np.array([0.5, 1.0, 0.5])  # basis order: word-lex from site -L
-        assert np.linalg.norm(oracle.matrix @ psi) <= 1e-12
+        assert np.linalg.norm(oracle_matrix(oracle) @ psi) <= 1e-12
 
     def test_residual_bound_on_grid(self):
         for L in range(4):
@@ -152,6 +211,47 @@ class TestHamiltonian:
                         oracle = build_hamiltonian(L, K, N, q0)
                         assert verify_ground_state(oracle) <= 1e-10
 
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.8])
+    def test_matches_dense_reference(self, q0):
+        # criterion 7's grid, plus a chain too wide for a 64-bit occupation mask
+        sectors = [(L, K, N) for L in range(6) for K in range(6) for N in range(L + K + 2)]
+        sectors += [(6, 7, N) for N in range(15)] + [(0, 70, 2)]
+        for L, K, N in sectors:
+            oracle = build_hamiltonian(L, K, N, q0)
+            dense = dense_hamiltonian(L, K, N, q0)
+            dim = oracle.dimension
+            assert dense.shape == (dim, dim)
+            for lo in range(0, dim, 512):
+                # the identity's columns lo .. lo+511, without the whole identity
+                block = np.eye(dim, min(512, dim - lo), -lo)
+                assert np.abs(oracle.apply(block) - dense[:, lo:lo + 512]).max() <= 1e-12
+            psi = np.array([q0 ** amplitude(c).degree() for c in sector_configs(L, K, N)])
+            dense_residual = np.linalg.norm(dense @ psi) / np.linalg.norm(psi)
+            assert abs(verify_ground_state(oracle) - dense_residual) <= 1e-12, (L, K, N)
+
+    def test_apply_keeps_the_shape(self):
+        oracle = build_hamiltonian(2, 3, 2, 0.5)
+        psi = np.arange(oracle.dimension, dtype=float)
+        assert oracle.apply(psi).shape == psi.shape
+        assert np.array_equal(oracle.apply(psi[:, None])[:, 0], oracle.apply(psi))
+
+    def test_memory_stays_linear(self):
+        tracemalloc.start()
+        try:
+            oracle = build_hamiltonian(6, 7, 7, 0.5)
+            residual = verify_ground_state(oracle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert oracle.dimension == 3432 and residual <= 1e-10
+        assert peak < 5 * 2**20  # the dense matrix alone is 94 MB
+
+    def test_residual_where_every_amplitude_underflows(self):
+        # q0^780 < 1e-400: unscaled, the state vector is all zeros and the
+        # residual 0/0 is NaN
+        oracle = build_hamiltonian(0, 40, 40, 0.3)
+        assert verify_ground_state(oracle) <= 1e-10
+
     def test_residual_zero_for_trivial_sector(self):
         oracle = build_hamiltonian(2, 2, 0, 0.5)
         assert verify_ground_state(oracle) == 0.0
@@ -160,7 +260,7 @@ class TestHamiltonian:
         oracle = build_hamiltonian(2, 2, 2, 0.5)
         psi = ground_state_vector(oracle)
         psi[0] += 0.05
-        residual = np.linalg.norm(oracle.matrix @ psi) / np.linalg.norm(psi)
+        residual = np.linalg.norm(oracle_matrix(oracle) @ psi) / np.linalg.norm(psi)
         assert residual > 1e-6
 
     def test_dimension_limit(self):
@@ -171,6 +271,12 @@ class TestHamiltonian:
     def test_q0_range(self):
         with pytest.raises(ValueError):
             build_hamiltonian(1, 1, 1, 1.5)
+
+    def test_invalid_sector(self):
+        with pytest.raises(ValueError, match="N must lie"):
+            build_hamiltonian(1, 1, -1, 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_hamiltonian(-1, 1, 0, 0.5)
 
 
 class TestSectorConfigs:
