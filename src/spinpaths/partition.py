@@ -425,10 +425,15 @@ def verify_average_representation(inst: PinnedInstance, q0) -> dict:
     steps among the last L+1 (the steps that map to sites -L..0).  Both
     sides are exact rationals; the report carries their exact ratio.
     """
+    return _average_report(inst, q0, pinned_rep2(inst))
+
+
+def _average_report(inst: PinnedInstance, q0, rep2: LaurentPoly) -> dict:
+    """verify_average_representation's report, given rep2 = pinned_rep2(inst)."""
     q0 = Fraction(q0)
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
-    lhs = pinned_rep2(inst).evaluate(q0)
+    lhs = rep2.evaluate(q0)
 
     # brute-force canonical expectation over the interface ensemble
     total_sites = inst.N + inst.M

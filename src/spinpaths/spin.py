@@ -56,12 +56,15 @@ class SpinConfig:
         return cls(L, K, tuple(word))
 
 
-def _check_enumerable(sites: int, N: int) -> None:
+def _check_enumerable(sites: int, N: int, slots: int = 1) -> None:
+    """Refuse a sector whose C(sites, N) configurations, at `slots` items
+    built per configuration, come to more than CONFIG_ENUMERATION_LIMIT."""
     if not 0 <= N <= sites:
         raise ValueError(f"N must lie in [0, {sites}]")
     count = math.comb(sites, N)
-    if count > CONFIG_ENUMERATION_LIMIT:
-        raise EnsembleTooLarge(f"{count} configurations exceeds {CONFIG_ENUMERATION_LIMIT}")
+    if count * slots > CONFIG_ENUMERATION_LIMIT:
+        per = f" of {slots} slots" if slots > 1 else ""
+        raise EnsembleTooLarge(f"{count} configurations{per} exceeds {CONFIG_ENUMERATION_LIMIT}")
 
 
 def _positions(sites: int, n: int) -> np.ndarray:
@@ -76,7 +79,7 @@ def sector_configs(L: int, K: int, N: int) -> list[SpinConfig]:
     """All configurations with N down spins, in lexicographic order of the
     occupation word read from site -L to K (the basis order of the oracle)."""
     sites = L + K + 1
-    _check_enumerable(sites, N)
+    _check_enumerable(sites, N, sites)
     words = []
     for positions in itertools.combinations(range(sites), N):
         word = [0] * sites

@@ -1,14 +1,16 @@
 """Command-line interface: outputs, schemas, round-trips, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, Point, SamplerState,
-                       sample_paths)
-from spinpaths import partition, sampler
-from spinpaths.cli import build_parser, main, parse_rational
+from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, PinnedInstance, Point,
+                       SamplerState, sample_paths)
+from spinpaths import partition, sampler, spin
+from spinpaths.cli import (_rendered, _report_entry, build_parser, identity_suite, main,
+                           parse_rational)
 from spinpaths.sampler import BLOCK
 
 
@@ -169,6 +171,81 @@ class TestHamiltonianCommand:
         assert "length 3" in err
 
 
+def reference_identity_suite(max_k, max_l, q_values):
+    """identity_suite computed entry by entry through the public slow paths:
+    each check sweeps its own tables."""
+    entries = []
+    for K in range(max_k + 1):
+        for L in range(max_l + 1):
+            for N in range(K + L + 2):
+                inst = PinnedInstance(K=K, L=L, N=N)
+                params = {"K": K, "L": L, "N": N, "M": inst.M}
+                nsq = spin.norm_squared(L, K, N)
+                rep1 = partition.pinned_rep1(inst)
+                rep2 = partition.pinned_rep2(inst)
+                entries.append(_report_entry(
+                    "norm-equality", params, nsq == rep1 == rep2, nsq, rep1))
+                conv = partition.pinned_via_convolution(inst)
+                entries.append(_report_entry("pf", params, rep2 == conv, rep2, conv))
+                rec2 = partition.rec2_rhs(inst)
+                entries.append(_report_entry("rec2", params, rep2 == rec2, rep2, rec2))
+                if N >= 1 and inst.M >= 1:
+                    readings = partition.rec1_readings(inst)
+                    lhs1, rhs1 = partition.rec1_sides(inst)
+                    entries.append(_report_entry(
+                        "rec1", {**params, "reading": "fixed-weights",
+                                 "alternative_readings": {
+                                     k: readings[k] for k in
+                                     ("reinstanced_shrink_K", "reinstanced_shrink_L")}},
+                        lhs1 == rhs1, lhs1, rhs1))
+                for q0 in q_values:
+                    report = partition.verify_average_representation(inst, q0)
+                    entries.append(_report_entry(
+                        "ave", report["parameters"], report["holds"],
+                        report["lhs"], report["rhs"]))
+    pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    for start in pts:
+        for end in pts:
+            if not end.dominates(start):
+                continue
+            direct = partition.partition_dp(InterfaceXXZ(), start, end)
+            for ref in pts:
+                if not (ref.i <= start.i and ref.j <= start.j):
+                    continue
+                translated = partition.translated_interface(start, end, ref)
+                entries.append(_report_entry(
+                    "TF", {"I": str(start), "F": str(end), "P": str(ref)},
+                    direct == translated, direct, translated))
+    return entries
+
+
+class TestIdentitySuite:
+    Q_VALUES = [Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)]
+
+    @pytest.mark.parametrize("max_k", range(3))
+    @pytest.mark.parametrize("max_l", range(3))
+    def test_matches_the_slow_path(self, max_k, max_l):
+        fast = [_rendered(e) for e in identity_suite(max_k, max_l, self.Q_VALUES)]
+        slow = [_rendered(e) for e in reference_identity_suite(max_k, max_l, self.Q_VALUES)]
+        assert fast == slow
+
+    def test_sweeps_each_distinct_table_once(self, monkeypatch):
+        calls = []
+        real = partition._sweep
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(partition, "_sweep", counted)
+        identity_suite(1, 1, [Fraction(1, 2)])
+        instances = [PinnedInstance(K=K, L=L, N=N)
+                     for K in range(2) for L in range(2) for N in range(K + L + 2)]
+        rep2_sweeps = sum(2 * len(partition.rep2_splits(inst)) for inst in instances)
+        # the slow path sweeps over 1 450 tables here
+        assert len(calls) <= 50 + len(instances) + rep2_sweeps
+
+
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-K", "1", "--max-L", "1")
@@ -214,6 +291,19 @@ class TestVerifyCommand:
                 else:
                     assert side["schema"] == "spinpaths/polynomial/1"
         assert payload["summary"]["TF"]["checked"] == 1225
+
+    def test_full_report_bytes(self, capsys):
+        # the report is exact and deterministic: any reordered or re-rendered entry shows
+        code, out, _ = run(capsys, "verify", "--max-K", "2", "--max-L", "2", "--full")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "0ee7df4a373f7f8e8bb58d645989310cd819800738e5222dae6291684dcc4b7c"
+
+    @pytest.mark.parametrize("grid", [("-1", "0"), ("0", "-1")])
+    def test_negative_grid(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--max-K", grid[0], "--max-L", grid[1])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "nonnegative" in err
 
 
 class TestUsageErrors:

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spinpaths import (EnsembleTooLarge, LaurentPoly, PinnedRep1, PinnedRep2,
                        config_to_path_rep1, config_to_path_rep2, norm_squared,
                        pinned_rep1, pinned_rep2, sector_configs,
                        verify_ground_state)
+from spinpaths import spin
 from spinpaths.partition import PinnedInstance
 from spinpaths.spin import eigen_ratio_check, ground_state_vector
 
@@ -292,6 +294,15 @@ class TestSectorConfigs:
     def test_invalid_sector(self):
         with pytest.raises(ValueError):
             sector_configs(1, 1, 5)
+
+    def test_limit_counts_every_slot(self, monkeypatch):
+        # 10^5 configurations pass a count-only guard, but their words take 10^10 slots
+        def refuse(*args):
+            raise AssertionError("enumeration started past the guard")
+
+        monkeypatch.setattr(spin, "itertools", SimpleNamespace(combinations=refuse))
+        with pytest.raises(EnsembleTooLarge):
+            sector_configs(0, 99_999, 1)
 
 
 def test_spin_config_validation():
