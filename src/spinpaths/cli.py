@@ -138,11 +138,12 @@ def cmd_sample(args) -> int:
     start = parse_point(args.frm)
     state = sampler.SamplerState(scheme, start, parse_point(args.to), q0, args.seed)
     distinct: set[str] = set()
+    prefix = f"{start}:"
     # one call even for --n <= 0, so the kernel's own check rejects a negative count
     for done in range(0, max(args.n, 1), sampler.BLOCK):
         words = sampler.sample_words(state, min(sampler.BLOCK, args.n - done))
         distinct.update(words)
-        sys.stdout.write("".join(f"{start}:{word}\n" for word in words))
+        sys.stdout.write("".join(f"{prefix}{word}\n" for word in words))
     summary = {"schema": SCHEMA_SAMPLE, "n": args.n, "seed": args.seed,
                "scheme": args.scheme, "q": str(q0), "distinct": len(distinct)}
     print(json.dumps(summary), file=sys.stderr)

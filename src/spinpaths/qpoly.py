@@ -134,14 +134,23 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         terms: dict[int, int] = {}
-        for ea, ca in a.items():
+        if len(a) == 1:
+            # a monomial shifts the exponents: products of nonzero ints are
+            # nonzero and distinct exponents stay distinct, so nothing cancels
+            # (a plain loop: most products are of two monomials, where a
+            # comprehension's own frame costs more than the loop)
+            (ea, ca), = a.items()
             for eb, cb in b.items():
-                e = ea + eb
-                s = terms.get(e, 0) + ca * cb
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+                terms[ea + eb] = ca * cb
+        else:
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = ea + eb
+                    s = terms.get(e, 0) + ca * cb
+                    if s:
+                        terms[e] = s
+                    else:
+                        terms.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = terms
         return out

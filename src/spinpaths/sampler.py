@@ -55,6 +55,11 @@ class SamplerState:
         di = end.i - start.i
         dj = end.j - start.j
         prob_h = np.zeros((di + 1, dj + 1), dtype=np.float64)
+        # the walk reads the same probabilities by anti-diagonal: after t
+        # steps a path with a H steps sits at (a, t - a), so
+        # diag[t, a] = prob_h[a, t - a] (0.0 where t - a falls outside
+        # [0, dj], a cell no walk reaches)
+        diag = np.zeros((di + dj, di + 1), dtype=np.float64)
         for a in range(di + 1):
             for b in range(dj + 1):
                 if a == di and b == dj:
@@ -73,8 +78,9 @@ class SamplerState:
                 if h + v != z_here:
                     raise InternalIdentityFailure(
                         f"step probabilities at {Point(i, j)} sum to {Fraction(h + v, z_here)}")
-                prob_h[a, b] = h / z_here   # int true division rounds correctly
+                prob_h[a, b] = diag[a + b, a] = h / z_here   # int true division rounds correctly
         self.prob_h = prob_h
+        self.diag = diag
         self.rng = np.random.Generator(np.random.Philox(key=seed))
 
     def substream(self, index: int) -> "SamplerState":
@@ -88,31 +94,48 @@ class SamplerState:
         return clone
 
 
+def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None = None):
+    """Walk `samples` paths `steps` steps, one block of `BLOCK` rows at a time,
+    and yield each block's H counts.
+
+    The only reader of the stream: every row draws a uniform for each of
+    the rectangle's steps, walked or not, so a row's uniforms do not depend
+    on `steps` or on the blocking.  A row with `a` H steps after `t` steps
+    sits at (a, t - a), so its count is all the walk tracks.  The table
+    forces the steps on the far edges by itself: prob_h is exactly 0.0
+    where a = di (h = 0) and exactly 1.0 where b = dj (v = 0, so h = Z),
+    and a cell with Z = 0 is entered with probability exactly 0.  With
+    `out`, step t of row r is written to out[r, t] (True = H).
+    """
+    total = state.diag.shape[0]
+    diag = list(state.diag)
+    buffer = np.empty((min(BLOCK, samples), total))   # refilled in place, block by block
+    for lo in range(0, samples, BLOCK):
+        n = min(BLOCK, samples - lo)
+        uniform = state.rng.random(out=buffer[:n])
+        a = np.zeros(n, dtype=np.intp)
+        for t in range(steps):
+            take_h = uniform[:, t] < diag[t][a]
+            if out is not None:
+                out[lo:lo + n, t] = take_h
+            a += take_h
+        yield a
+
+
 def sample_step_matrix(state: SamplerState, samples: int) -> np.ndarray:
     """Batch draw: samples x total_steps boolean matrix, True = H.
 
     Row r is the step word of the r-th path.  Every step takes one uniform
     and the rows take them in turn, so the stream a path uses does not
-    depend on how the draws are batched.
+    depend on how the draws are batched.  The rows walk the step table by
+    anti-diagonal (`state.diag`), tracking only each row's H count.
     """
     if samples < 0:
         raise ValueError(f"sample count {samples} is negative")
-    di = state.end.i - state.start.i
-    dj = state.end.j - state.start.j
-    # cell (a, b) sits at a*(dj+1) + b: an H step moves dj+1 cells, a V step
-    # one.  The table forces the boundary steps by itself: prob_h is exactly
-    # 0.0 where a = di (h = 0) and exactly 1.0 where b = dj (v = 0, so
-    # h = Z), and a cell with Z = 0 is entered with probability exactly 0.
-    prob_h = state.prob_h.ravel()
-    out = np.empty((samples, di + dj), dtype=bool)
-    for lo in range(0, samples, BLOCK):
-        block = out[lo:lo + BLOCK]
-        uniform = state.rng.random(block.shape)
-        cell = np.zeros(len(block), dtype=np.intp)
-        for t in range(di + dj):
-            take_h = uniform[:, t] < prob_h[cell]
-            block[:, t] = take_h
-            cell += 1 + dj * take_h
+    total = state.diag.shape[0]
+    out = np.empty((samples, total), dtype=bool)
+    for _ in _walk(state, samples, total, out):
+        pass
     return out
 
 
@@ -136,17 +159,23 @@ def sample_path(state: SamplerState) -> LatticePath:
 
 
 def estimate_crossing(state: SamplerState, point: Point, samples: int) -> tuple[float, float]:
-    """Empirical crossing frequency through `point` with binomial stderr."""
+    """Empirical crossing frequency through `point` with binomial stderr.
+
+    A path crosses `point` when it has taken point.i - start.i H steps after
+    `radius` = (point - start).i + (point - start).j steps, so the walk stops
+    at the radius, builds no step matrix and counts the hits block by block.
+    It takes the same uniforms as `sample_step_matrix(state, samples)`, so
+    the stream advances alike; a radius outside [0, total steps] draws
+    nothing.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     radius = (point.i - state.start.i) + (point.j - state.start.j)
-    total = (state.end.i - state.start.i) + (state.end.j - state.start.j)
-    if radius < 0 or radius > total:
-        hits = 0
-    else:
-        matrix = sample_step_matrix(state, samples)
-        h_at_radius = matrix[:, :radius].sum(axis=1)
-        hits = int(np.count_nonzero(h_at_radius == point.i - state.start.i))
+    hits = 0
+    if 0 <= radius <= state.diag.shape[0]:
+        target = point.i - state.start.i
+        for a in _walk(state, samples, radius):
+            hits += int(np.count_nonzero(a == target))
     est = hits / samples
     stderr = math.sqrt(est * (1.0 - est) / samples)
     return est, stderr

@@ -51,6 +51,17 @@ class TestMul:
     def test_telescoping(self):
         assert poly({0: 1, 2: -1}) * poly({0: 1, 2: 1, 4: 1}) == poly({0: 1, 6: -1})
 
+    @given(e=st.integers(-6, 6), c=st.integers(-9, 9).filter(bool), p=polys)
+    def test_monomial_factor_matches_double_loop(self, e, c, p):
+        m = poly({e: c})
+        product: dict[int, int] = {}
+        for ea, ca in m.items():
+            for eb, cb in p.items():
+                product[ea + eb] = product.get(ea + eb, 0) + ca * cb
+        expected = poly(product)
+        assert m * p == expected
+        assert p * m == expected
+
 
 class TestDivExact:
     def test_geometric_factor(self):

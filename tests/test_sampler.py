@@ -1,6 +1,7 @@
 """Exact path sampling and Monte Carlo estimators against the exact layer."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -53,9 +54,8 @@ def assert_kernels_agree(scheme, start, end, q0, seed, samples):
     assert np.array_equal(sample_step_matrix(fast, 3), masked_step_matrix(slow, 3))
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_flat_kernel_matches_masked_reference(data):
+def draw_ensemble(data):
+    """A random rectangle, scheme and q0 whose partition values are positive."""
     start = Point(data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
     end = start.translate(data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)))
     kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
@@ -76,7 +76,13 @@ def test_flat_kernel_matches_masked_reference(data):
         scheme = CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), monomial,
                                                              max_size=8)))
     q0 = Fraction(data.draw(st.integers(1, 12)), 13)
-    assert_kernels_agree(scheme, start, end, q0, data.draw(st.integers(0, 2**64)),
+    return scheme, start, end, q0
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flat_kernel_matches_masked_reference(data):
+    assert_kernels_agree(*draw_ensemble(data), data.draw(st.integers(0, 2**64)),
                          data.draw(st.integers(0, 300)))
 
 
@@ -126,6 +132,7 @@ class TestSamplePath:
         base = make_state(end=Point(3, 3), seed=7)
         other = base.substream(0)
         assert other.prob_h is base.prob_h
+        assert other.diag is base.diag
         seq_base = [sample_path(base).steps for _ in range(30)]
         seq_other = [sample_path(other).steps for _ in range(30)]
         assert seq_base != seq_other
@@ -168,6 +175,55 @@ class TestWholePathDistribution:
             assert pvalue > 1e-3
 
 
+def reference_crossing(state, point, samples):
+    """The estimator summing the whole step matrix up to the radius: the slow
+    reference for `estimate_crossing`."""
+    radius = (point.i - state.start.i) + (point.j - state.start.j)
+    total = (state.end.i - state.start.i) + (state.end.j - state.start.j)
+    hits = 0
+    if 0 <= radius <= total:
+        h_at_radius = sample_step_matrix(state, samples)[:, :radius].sum(axis=1)
+        hits = int(np.count_nonzero(h_at_radius == point.i - state.start.i))
+    est = hits / samples
+    return est, math.sqrt(est * (1.0 - est) / samples)
+
+
+def assert_estimates_agree(scheme, start, end, q0, seed, point, samples):
+    fast = SamplerState(scheme, start, end, q0, seed)
+    slow = SamplerState(scheme, start, end, q0, seed)
+    assert estimate_crossing(fast, point, samples) == reference_crossing(slow, point, samples)
+    # the streams stay in step afterwards
+    assert np.array_equal(sample_step_matrix(fast, 3), sample_step_matrix(slow, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_estimate_matches_step_matrix_reference(data):
+    scheme, start, end, q0 = draw_ensemble(data)
+    # points inside, beside and beyond the rectangle, so radii fall on both
+    # sides of [0, total] too
+    point = Point(data.draw(st.integers(start.i - 2, end.i + 2)),
+                  data.draw(st.integers(start.j - 2, end.j + 2)))
+    assert_estimates_agree(scheme, start, end, q0, data.draw(st.integers(0, 2**64)), point,
+                           data.draw(st.integers(1, 300)))
+
+
+def test_estimate_matches_step_matrix_reference_over_blocks():
+    assert_estimates_agree(InterfaceXXZ(), ORIGIN, Point(3, 4), Fraction(7, 13), 3,
+                           Point(2, 1), 2 * BLOCK + 5)
+
+
+def test_estimate_memory_stays_within_a_block():
+    state = make_state(end=Point(8, 8), seed=3)
+    tracemalloc.start()
+    try:
+        estimate_crossing(state, Point(4, 4), 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 class TestEstimateCrossing:
     def test_through_start(self):
         est, stderr = estimate_crossing(make_state(end=Point(2, 2)), ORIGIN, 100)
@@ -201,3 +257,9 @@ def test_step_probabilities_are_exact_before_float():
     state = make_state(end=Point(3, 2), scheme=PinnedRep1(K=3, L=2))
     assert state.prob_h.shape == (4, 3)
     assert 0.0 <= state.prob_h.min() and state.prob_h.max() <= 1.0
+    # the walk's table holds the same probabilities by anti-diagonal
+    assert state.diag.shape == (5, 4)
+    for t in range(5):
+        for a in range(4):
+            inside = 0 <= t - a <= 2
+            assert state.diag[t, a] == (state.prob_h[a, t - a] if inside else 0.0)
