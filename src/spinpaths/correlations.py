@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import H_STEP, Point, diagonal
-from .partition import (ORIGIN, PinnedInstance, backward_table, forward_table,
-                        partition_dp, rep2_splits)
+from .lattice import H_STEP, Point
+from .partition import PinnedInstance, _rep1_tables, partition_dp
 from .qpoly import LaurentPoly, ONE
-from .weights import PinnedRep2, WeightScheme
+from .weights import WeightScheme
 
 
 class DegenerateEnsemble(ValueError):
@@ -56,43 +55,21 @@ def crossing_probability(query: CorrelationQuery, q0) -> Fraction:
 def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]:
     """Per-site down-spin probability of the pinned ground state.
 
-    Site x corresponds to the path step ending on the sphere i+j = x of the
-    second representation, so P(down at x) is the probability that this
-    step is horizontal.  The ensemble splits over the admissible start/end
-    sphere pairs; within each part the bond-crossing weight factorizes
-    through the origin.  All arithmetic is exact; the probabilities sum
-    to N exactly.
+    A first-representation path replays site s at its step s onto the
+    sphere of radius s for s <= K, and site s - (K+L+1) after that, and its
+    weight is the configuration's squared amplitude.  So P(down at x) is
+    the weight of the paths whose step onto that sphere is horizontal: a
+    sum over the sphere's horizontal bonds of forward cell at the tail
+    times the backward flow through the bond, in ints, divided once by Z.
+    All arithmetic is exact; the probabilities sum to N exactly.
     """
-    q0 = Fraction(q0)
-    if not 0 < q0 < 1:
-        raise ValueError("q0 must lie in (0, 1)")
-    scheme = PinnedRep2()
-
-    def bond_sum(radius: int, fwd, bwd, lo: Point, hi: Point) -> Fraction:
-        # weighted sum over horizontal steps ending on the given sphere; every
-        # term is a whole path's weight, so the sum decodes as the far corner does
-        f, b, weights = fwd.values, bwd.values, fwd.weights
-        acc = 0
-        for head in diagonal(radius, lo, hi):
-            i, j = head
-            if i > lo.i:
-                m, k = weights[i - 1, j, H_STEP]
-                acc += (m * f[i - 1, j] * b[head]) << k
-        return fwd.read(acc, hi)
-
-    totals = {x: Fraction(0) for x in range(-inst.L, inst.K + 1)}
-    z = Fraction(0)
-    for start, end in rep2_splits(inst):
-        back_fwd = forward_table(scheme, start, ORIGIN, q0)
-        back_bwd = backward_table(scheme, start, ORIGIN, q0)
-        fore_fwd = forward_table(scheme, ORIGIN, end, q0)
-        fore_bwd = backward_table(scheme, ORIGIN, end, q0)
-        z_back = back_fwd[ORIGIN]
-        z_fore = fore_fwd[end]
-        z += z_back * z_fore
-        for x in range(-inst.L, 0 + 1):
-            totals[x] += bond_sum(x, back_fwd, back_bwd, start, ORIGIN) * z_fore
-        for x in range(1, inst.K + 1):
-            totals[x] += z_back * bond_sum(x, fore_fwd, fore_bwd, ORIGIN, end)
-
-    return [(x, totals[x] / z) for x in range(-inst.L, inst.K + 1)]
+    fwd, bwd = _rep1_tables(inst, q0)
+    f, flow, z = fwd.values, bwd.flow, fwd.values[inst.N, inst.M]
+    profile = []
+    for x in range(-inst.L, inst.K + 1):
+        s = x if x > 0 else x + inst.sites
+        # tails on the sphere of radius s - 1; flow is 0 where the head leaves
+        acc = sum(f[i, s - 1 - i] * flow(i, s - 1 - i, H_STEP)
+                  for i in range(max(0, s - 1 - inst.M), min(inst.N, s - 1) + 1))
+        profile.append((x, Fraction(acc, z)))
+    return profile

@@ -174,8 +174,3 @@ def sphere(center: Point, radius: int, direction: str = "forward") -> list[Point
     if direction == "backward":
         return [center.translate(-a, -(radius - a)) for a in range(radius + 1)]
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def diagonal(s: int, lo: Point, hi: Point) -> list[Point]:
-    """Points with i+j = s inside the rectangle [lo, hi], in increasing i."""
-    return [Point(i, s - i) for i in range(max(lo.i, s - hi.j), min(hi.i, s - lo.j) + 1)]

@@ -54,24 +54,40 @@ class PartitionTable:
 
     Every cell is one int, ``values[(i, j)]``, in an encoding chosen for
     the rectangle: a Kronecker-packed Laurent polynomial, or at a fixed
-    q0 = p/r the value times int scales.  ``weights`` maps every bond
-    (i, j, orientation) of the rectangle to its encoded weight, a pair
-    (m, k) that stands for the int m << k, so a cell is W_h * (its
-    horizontal neighbour) + W_v * (its vertical neighbour) in plain ints.
-    Reading a point decodes its int into a LaurentPoly, or into a Fraction
-    when the table was swept at a fixed q; points off the rectangle read as
-    that ring's 0.
+    q0 = p/r the value times int scales.  Every bond of the rectangle has
+    an encoded weight, so a cell is W_h * (its horizontal neighbour) +
+    W_v * (its vertical neighbour) in plain ints; ``flow`` reads such a
+    product.  Reading a point decodes its int into a LaurentPoly, or into a
+    Fraction when the table was swept at a fixed q; points off the
+    rectangle read as that ring's 0.
     """
 
-    __slots__ = ("values", "weights", "origin", "_decode")
+    __slots__ = ("values", "_weights", "origin", "_decode")
 
     def __init__(self, values: dict[tuple[int, int], int],
                  weights: dict[tuple[int, int, str], tuple[int, int]], origin: Point,
                  decode: Callable[[int, int, int], LaurentPoly | Fraction]):
         self.values = values
-        self.weights = weights
+        # bond (i, j, orientation) -> its encoded weight (m, k), the int m << k
+        self._weights = weights
         self.origin = origin
         self._decode = decode
+
+    def flow(self, i: int, j: int, orientation: str) -> int:
+        """The encoded weight of the bond with tail (i, j) times the cell at
+        its head, as one int; 0 when the head is off the rectangle.
+
+        In a backward table this is the weight of the paths from (i, j) that
+        take the bond first.  Tables of one scheme, rectangle and q encode
+        alike, so a forward cell at (i, j) times it is the weight of the
+        whole paths through the bond, which reads as the far corner does.
+        """
+        code = self._weights.get((i, j, orientation))
+        if code is None:
+            return 0
+        m, k = code
+        head = (i + 1, j) if orientation == H_STEP else (i, j + 1)
+        return (m * self.values[head]) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
         return self.read(self.values.get(point, 0), point)
@@ -379,14 +395,16 @@ def rec1_readings(inst: PinnedInstance) -> dict:
 
 def rec2_rhs(inst: PinnedInstance) -> LaurentPoly:
     """Right side of the sphere-K convolution: interface closed-form products
-    summed over the crossing point of radius K (zero convention applies)."""
-    rhs = ZERO
-    for n in range(0, inst.K + 1):
-        m = inst.K - n
-        bracket = interface_closed_form(inst.N - n, inst.M - m - 1) + \
-            interface_closed_form(inst.N - n - 1, inst.M - m)
-        rhs = rhs + interface_closed_form(n, m) * bracket
-    return rhs
+    summed over the crossing point (n, K - n) of radius K (zero convention
+    applies).
+
+    Its term n is Z_if(n, K-n) * (Z_if(N-n, M-K+n-1) + Z_if(N-n-1, M-K+n)).
+    With M = K+L+1-N and N' = N-n the bracket is
+    Z_if(N', L-N') + Z_if(N'-1, L-N'+1), the bracket of
+    pinned_via_convolution's term n, and the terms either range leaves out
+    are 0; so the sum is that one.
+    """
+    return pinned_via_convolution(inst)
 
 
 def verify_rec2(inst: PinnedInstance) -> bool:
@@ -396,6 +414,17 @@ def verify_rec2(inst: PinnedInstance) -> bool:
 # -- observables ------------------------------------------------------------
 
 
+def _rep1_tables(inst: PinnedInstance, q0) -> tuple[PartitionTable, PartitionTable]:
+    """The forward and backward first-representation tables over
+    [origin, (N, M)] at q = q0, which must lie in (0, 1)."""
+    q0 = Fraction(q0)
+    if not 0 < q0 < 1:
+        raise ValueError("q0 must lie in (0, 1)")
+    scheme = PinnedRep1(K=inst.K, L=inst.L)
+    end = Point(inst.N, inst.M)
+    return forward_table(scheme, ORIGIN, end, q0), backward_table(scheme, ORIGIN, end, q0)
+
+
 def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]:
     """Distribution of the number of down spins on sites x >= 1.
 
@@ -403,16 +432,11 @@ def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]
     spent when it crosses the sphere of radius K.  Computed as exact
     through-point ratios, so the probabilities sum to 1 exactly.
     """
-    q0 = Fraction(q0)
-    if not 0 < q0 < 1:
-        raise ValueError("q0 must lie in (0, 1)")
-    scheme = PinnedRep1(K=inst.K, L=inst.L)
-    end = Point(inst.N, inst.M)
-    fwd = forward_table(scheme, ORIGIN, end, q0).values
-    bwd = backward_table(scheme, ORIGIN, end, q0).values
+    fwd, bwd = _rep1_tables(inst, q0)
+    f, b = fwd.values, bwd.values
     # a path through a point splits into a forward and a backward part, so
     # their encoded product scales as Z does and the ratio is taken in ints
-    return [(n, Fraction(fwd[n, inst.K - n] * bwd[n, inst.K - n], fwd[end]))
+    return [(n, Fraction(f[n, inst.K - n] * b[n, inst.K - n], f[inst.N, inst.M]))
             for n in range(max(0, inst.K - inst.M), min(inst.K, inst.N) + 1)]
 
 

@@ -29,9 +29,9 @@ BLOCK = 4096
 class SamplerState:
     """Sampling context for one rectangle ensemble.
 
-    Holds the per-point horizontal-step probabilities (formed as exact
-    rationals from the backward table, converted to double once) and the
-    Philox stream.
+    Holds the per-point horizontal-step probabilities by anti-diagonal
+    (formed as exact rationals from the backward table, converted to double
+    once) and the Philox stream.
     """
 
     def __init__(self, scheme: WeightScheme, start: Point, end: Point, q0, seed: int):
@@ -46,19 +46,17 @@ class SamplerState:
         self.q0 = q0
         self.seed = seed
         backward = backward_table(scheme, start, end, q0)
-        values, weights = backward.values, backward.weights
+        values, flow = backward.values, backward.flow
         if values[start] == 0:
             raise DegenerateEnsemble(f"Z{start}->{end} = 0 at q = {q0}")
 
         # a step's probability is W * Z(next) / Z(here); the encodings' scales
-        # cancel in the ratio, so it is formed from the encoded ints directly
+        # cancel in the ratio, so it is formed from the encoded ints directly.
+        # The walk reads them by anti-diagonal: after t steps a path with a H
+        # steps sits at (a, t - a), whose probability is diag[t, a] (0.0 where
+        # t - a falls outside [0, dj], a cell no walk reaches)
         di = end.i - start.i
         dj = end.j - start.j
-        prob_h = np.zeros((di + 1, dj + 1), dtype=np.float64)
-        # the walk reads the same probabilities by anti-diagonal: after t
-        # steps a path with a H steps sits at (a, t - a), so
-        # diag[t, a] = prob_h[a, t - a] (0.0 where t - a falls outside
-        # [0, dj], a cell no walk reaches)
         diag = np.zeros((di + dj, di + 1), dtype=np.float64)
         for a in range(di + 1):
             for b in range(dj + 1):
@@ -68,18 +66,11 @@ class SamplerState:
                 z_here = values[i, j]
                 if z_here == 0:
                     continue  # unreachable at this q; probability never consulted
-                h = v = 0
-                if a < di:
-                    m, k = weights[i, j, H_STEP]
-                    h = (m * values[i + 1, j]) << k
-                if b < dj:
-                    m, k = weights[i, j, V_STEP]
-                    v = (m * values[i, j + 1]) << k
+                h, v = flow(i, j, H_STEP), flow(i, j, V_STEP)
                 if h + v != z_here:
                     raise InternalIdentityFailure(
                         f"step probabilities at {Point(i, j)} sum to {Fraction(h + v, z_here)}")
-                prob_h[a, b] = diag[a + b, a] = h / z_here   # int true division rounds correctly
-        self.prob_h = prob_h
+                diag[a + b, a] = h / z_here   # int true division rounds correctly
         self.diag = diag
         self.rng = np.random.Generator(np.random.Philox(key=seed))
 
@@ -102,8 +93,8 @@ def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None 
     the rectangle's steps, walked or not, so a row's uniforms do not depend
     on `steps` or on the blocking.  A row with `a` H steps after `t` steps
     sits at (a, t - a), so its count is all the walk tracks.  The table
-    forces the steps on the far edges by itself: prob_h is exactly 0.0
-    where a = di (h = 0) and exactly 1.0 where b = dj (v = 0, so h = Z),
+    forces the steps on the far edges by itself: its probability is exactly
+    0.0 where a = di (h = 0) and exactly 1.0 where b = dj (v = 0, so h = Z),
     and a cell with Z = 0 is entered with probability exactly 0.  With
     `out`, step t of row r is written to out[r, t] (True = H).
     """

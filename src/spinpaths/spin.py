@@ -123,10 +123,10 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     10^5 short rows, not 10^5 words of 10^5 sites.
     """
     sites = L + K + 1
-    _check_enumerable(sites, N)
+    n = min(N, sites - N)
+    _check_enumerable(sites, N, n)
     if L < 0 or K < 0:
         raise ValueError("L and K must be nonnegative")
-    n = min(N, sites - N)
     # sum |x| over the minority sites; over the up sites it is the complement
     exponents = np.abs(_positions(sites, n) - L).sum(axis=1)
     if n < N:

@@ -59,6 +59,17 @@ class TestNormCommand:
         assert code == 0
         assert json.loads(out)["terms"] == {str(2 * x): "1" for x in range(100_000)}
 
+    def test_limit_counts_minority_slots(self, capsys, monkeypatch):
+        # 705 432 configurations pass a count-only guard, but their rows take
+        # 705 432 x 11 cells
+        def refuse(*args):
+            raise AssertionError("enumeration started past the guard")
+
+        monkeypatch.setattr(spin, "_positions", refuse)
+        code, out, err = run(capsys, "norm", "-K", "21", "-L", "0", "-N", "11")
+        assert (code, out) == (2, "")
+        assert err == "error: 705432 configurations of 11 slots exceeds 1000000\n"
+
 
 class TestCorrelateCommand:
     def test_probability(self, capsys):

@@ -12,7 +12,8 @@ from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
                        crossing_probability, enumerate_paths, forward_table,
                        magnetization_profile, partition_dp,
                        pinning_distribution, sector_configs, sphere)
-from spinpaths.lattice import H_STEP, diagonal, horizontal_bond, vertical_bond
+from spinpaths import partition
+from spinpaths.lattice import H_STEP, horizontal_bond, vertical_bond
 from spinpaths.partition import rep2_start
 
 ORIGIN = Point(0, 0)
@@ -130,8 +131,8 @@ class TestMagnetizationProfile:
             assert profile[x] == profile[-x]
 
     def test_matches_spin_oracle(self):
-        for K in range(3):
-            for L in range(3):
+        for K in range(4):
+            for L in range(4):
                 for N in range(K + L + 2):
                     inst = PinnedInstance(K=K, L=L, N=N)
                     for q0 in (Fraction(3, 10), HALF):
@@ -141,6 +142,23 @@ class TestMagnetizationProfile:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             magnetization_profile(PinnedInstance(K=1, L=1, N=1), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("observable", [magnetization_profile, pinning_distribution])
+def test_pinned_observables_sweep_two_tables(observable, monkeypatch):
+    # the forward and backward rep1 tables, whatever the instance
+    calls = []
+    real = partition._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partition, "_sweep", counted)
+    for inst in (PinnedInstance(K=3, L=2, N=3), PinnedInstance(K=4, L=4, N=5)):
+        calls.clear()
+        observable(inst, HALF)
+        assert len(calls) == 2, inst
 
 
 # -- fixed-q consumers against polynomial tables evaluated cell by cell ------------
@@ -173,7 +191,8 @@ def poly_profile(inst, q0):
             crossing = sum((fwd[h.translate(-1, 0)].evaluate(q0)
                             * scheme.bond_weight(h.i - 1, h.j, H_STEP).evaluate(q0)
                             * bwd[h].evaluate(q0)
-                            for h in diagonal(x, lo, hi) if h.i > lo.i), Fraction(0))
+                            for h in (Point(i, x - i) for i in range(lo.i + 1, hi.i + 1))
+                            if lo.j <= h.j <= hi.j), Fraction(0))
             totals[x] += crossing * z_parts[1 - k]
     return [(x, totals[x] / z) for x in totals]
 
@@ -223,7 +242,8 @@ def test_fixed_q_consumers_match_polynomial_tables(data):
 
     state = SamplerState(scheme, start, end, q0, 0)
     for here, p_h in poly_step_probabilities(scheme, start, end, q0).items():
-        assert state.prob_h[here.i - start.i, here.j - start.j] == float(p_h)
+        a, b = here.i - start.i, here.j - start.j
+        assert state.diag[a + b, a] == float(p_h)
 
 
 @pytest.mark.parametrize("scheme", [
@@ -240,7 +260,7 @@ def test_sweeps_and_observables_build_no_bond(scheme, monkeypatch):
     def observe():
         tables = [make(scheme, start, end, q0).values
                   for make in (forward_table, backward_table) for q0 in (None, HALF)]
-        return (tables, SamplerState(scheme, start, end, HALF, 0).prob_h.tolist(),
+        return (tables, SamplerState(scheme, start, end, HALF, 0).diag.tolist(),
                 magnetization_profile(inst, HALF), pinning_distribution(inst, HALF),
                 crossing_probability(query, HALF))
 

@@ -17,7 +17,7 @@ from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
                        translated_interface, verify_average_representation,
                        verify_rec2)
 from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
-from spinpaths.partition import verify_rec1
+from spinpaths.partition import rec2_rhs, verify_rec1
 from spinpaths.qpoly import ONE, ZERO
 
 ORIGIN = Point(0, 0)
@@ -390,6 +390,33 @@ class TestRec2:
             for L in range(5):
                 for N in range(K + L + 2):
                     assert verify_rec2(PinnedInstance(K=K, L=L, N=N)), (K, L, N)
+
+    def test_sphere_k_sum_is_the_convolution_term_for_term(self):
+        # the sphere-K sum as first written, indexed by the crossing point
+        # (n, K - n), against the convolution's term n over N' = N - n
+        def sphere_term(inst, n):
+            if n > inst.K:
+                return ZERO
+            m = inst.K - n
+            return interface_closed_form(n, m) * (
+                interface_closed_form(inst.N - n, inst.M - m - 1)
+                + interface_closed_form(inst.N - n - 1, inst.M - m))
+
+        def convolution_term(inst, n):
+            if n > inst.N:
+                return ZERO
+            np_ = inst.N - n
+            return interface_closed_form(n, inst.K - n) * (
+                interface_closed_form(np_ - 1, inst.L - np_ + 1)
+                + interface_closed_form(np_, inst.L - np_))
+
+        instances = [PinnedInstance(K=K, L=L, N=N)
+                     for K in range(6) for L in range(6) for N in range(K + L + 2)]
+        assert len(instances) == 252
+        for inst in instances:
+            terms = [sphere_term(inst, n) for n in range(max(inst.K, inst.N) + 1)]
+            assert terms == [convolution_term(inst, n) for n in range(len(terms))], inst
+            assert rec2_rhs(inst) == sum(terms, ZERO), inst
 
 
 class TestPinningDistribution:

@@ -37,7 +37,7 @@ def masked_step_matrix(state, samples):
         ai = np.zeros(len(block), dtype=np.intp)
         bj = np.zeros(len(block), dtype=np.intp)
         for t in range(di + dj):
-            take_h = uniform[:, t] < state.prob_h[ai, bj]
+            take_h = uniform[:, t] < state.diag[ai + bj, ai]
             take_h[ai == di] = False
             take_h[bj == dj] = True
             block[:, t] = take_h
@@ -131,7 +131,6 @@ class TestSamplePath:
     def test_substreams_are_disjoint(self):
         base = make_state(end=Point(3, 3), seed=7)
         other = base.substream(0)
-        assert other.prob_h is base.prob_h
         assert other.diag is base.diag
         seq_base = [sample_path(base).steps for _ in range(30)]
         seq_other = [sample_path(other).steps for _ in range(30)]
@@ -255,11 +254,15 @@ def test_step_probabilities_are_exact_before_float():
     # construction checks that the exact rational step probabilities sum to 1;
     # reaching here means every interior point passed that check
     state = make_state(end=Point(3, 2), scheme=PinnedRep1(K=3, L=2))
-    assert state.prob_h.shape == (4, 3)
-    assert 0.0 <= state.prob_h.min() and state.prob_h.max() <= 1.0
-    # the walk's table holds the same probabilities by anti-diagonal
+    # the walk's table holds them by anti-diagonal: diag[a + b, a] for (a, b)
     assert state.diag.shape == (5, 4)
+    assert 0.0 <= state.diag.min() and state.diag.max() <= 1.0
     for t in range(5):
         for a in range(4):
-            inside = 0 <= t - a <= 2
-            assert state.diag[t, a] == (state.prob_h[a, t - a] if inside else 0.0)
+            b = t - a
+            if not 0 <= b <= 2:
+                assert state.diag[t, a] == 0.0   # a cell no walk reaches
+            elif a == 3:
+                assert state.diag[t, a] == 0.0   # the far vertical edge
+            elif b == 2:
+                assert state.diag[t, a] == 1.0   # the far horizontal edge
