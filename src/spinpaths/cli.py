@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-L", type=int, required=True)
     p.add_argument("-N", type=int, default=None)
-    p.add_argument("--q0", type=float, default=0.5, help="numeric q for the dense oracle")
+    p.add_argument("--q0", type=float, default=0.5, help="numeric q for the Hamiltonian oracle")
     p.add_argument("--config", default=None, help="0/1 word over sites -L..K")
     p.set_defaults(func=cmd_hamiltonian)
 
@@ -378,8 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  Exact answers may run past the interpreter's limit
+    on int/str conversion (4 300 digits by default), so it is lifted while
+    the command runs and restored afterwards."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ZeroToNegativePower) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -387,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     except partition.InternalIdentityFailure as exc:
         print(f"error: internal identity failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry_point() -> None:

@@ -113,11 +113,6 @@ class LatticePath:
         h = self.steps[:l].count(H_STEP)
         return self.start.translate(h, l - h) == point
 
-    def concat(self, other: "LatticePath") -> "LatticePath":
-        if other.start != self.endpoint():
-            raise ValueError("paths do not join")
-        return LatticePath(self.start, self.steps + other.steps)
-
     def text(self) -> str:
         """Stable text form, e.g. '(0,0):HVH' (empty word renders as '(0,0):')."""
         return f"{self.start}:{self.steps}"
@@ -128,14 +123,6 @@ class LatticePath:
         if m is None:
             raise ValueError(f"cannot parse path {text!r}")
         return cls(Point(int(m.group(1)), int(m.group(2))), m.group(3))
-
-
-def path_count(start: Point, end: Point) -> int:
-    """Number of monotone paths in the rectangle [start, end] (0 if empty)."""
-    di, dj = end.i - start.i, end.j - start.j
-    if di < 0 or dj < 0:
-        return 0
-    return math.comb(di + dj, di)
 
 
 def enumerate_paths(start: Point, end: Point) -> list[LatticePath]:

@@ -23,7 +23,7 @@ ORIGIN = Point(0, 0)
 
 
 class InternalIdentityFailure(RuntimeError):
-    """An exact division that is guaranteed by an identity failed."""
+    """A step table's probabilities at a point do not sum to exactly 1."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,7 @@ class PartitionTable:
         return (m * self.values[head]) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
-        return self.read(self.values.get(point, 0), point)
-
-    def read(self, n: int, point: Point) -> LaurentPoly | Fraction:
-        """Decode n as the value of a cell at point.
+        """The cell at point, decoded.
 
         The encoding of a value depends only on how many horizontal and
         vertical steps it spans, so a sum of products of cells and weights
@@ -101,7 +98,8 @@ class PartitionTable:
         corner.
         """
         origin = self.origin
-        return self._decode(n, abs(point[0] - origin[0]), abs(point[1] - origin[1]))
+        return self._decode(self.values.get(point, 0),
+                            abs(point[0] - origin[0]), abs(point[1] - origin[1]))
 
 
 def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | None):
@@ -304,31 +302,25 @@ def pinned_rep1(inst: PinnedInstance) -> LaurentPoly:
     return partition_dp(PinnedRep1(K=inst.K, L=inst.L), ORIGIN, Point(inst.N, inst.M))
 
 
-def rep2_start(inst: PinnedInstance, a: int) -> Point:
-    """Start point on the third-quadrant sphere of radius L+1 with a horizontal
-    steps still to spend before the origin."""
-    return Point(-a, -(inst.L + 1 - a))
-
-
-def rep2_splits(inst: PinnedInstance) -> list[tuple[Point, Point]]:
-    """The admissible (start, end) pairs of the second representation: a <= L+1
-    of the N horizontal steps before the origin, N-a <= K after it."""
-    return [(rep2_start(inst, a), Point(inst.N - a, inst.K - inst.N + a))
-            for a in range(min(inst.N, inst.L + 1) + 1) if inst.N - a <= inst.K]
-
-
 def pinned_rep2(inst: PinnedInstance) -> LaurentPoly:
     """Partition function of the second pinned representation.
 
     Paths depart from the third-quadrant sphere of radius L+1, pass through
     the origin, and end on the first-quadrant sphere of radius K with N
-    horizontal steps in total.  Splitting at the origin factorizes each
-    admissible (start, end) pair into two independent partition functions.
+    horizontal steps in total.  Splitting at the origin factorizes a path
+    that spends a <= L+1 of them before the origin and N-a <= K after it
+    into a piece from (-a, a-L-1) and a piece to (N-a, K-N+a).  A weight
+    depends only on its bond, so every such piece is a cell of one backward
+    table to the origin or of one forward table from it.
     """
     scheme = PinnedRep2()
+    K, L, N = inst.K, inst.L, inst.N
+    lo, hi = max(0, N - K), min(N, L + 1)
+    before = backward_table(scheme, Point(-hi, lo - L - 1), ORIGIN)
+    after = forward_table(scheme, ORIGIN, Point(N - lo, K - N + hi))
     total = ZERO
-    for start, end in rep2_splits(inst):
-        total = total + partition_dp(scheme, start, ORIGIN) * partition_dp(scheme, ORIGIN, end)
+    for a in range(lo, hi + 1):
+        total = total + before[Point(-a, a - L - 1)] * after[Point(N - a, K - N + a)]
     return total
 
 

@@ -68,9 +68,6 @@ class LaurentPoly:
         """(exponent, coefficient) pairs, exponents ascending."""
         return sorted(self._terms.items())
 
-    def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
-
     def degree(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no degree")
@@ -80,9 +77,6 @@ class LaurentPoly:
         if not self._terms:
             raise ValueError("zero polynomial has no valuation")
         return min(self._terms)
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -156,18 +150,6 @@ class LaurentPoly:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor.

@@ -40,10 +40,8 @@ class SamplerState:
             raise ValueError(f"seed {seed} is out of range; it must lie in [0, 2**128)")
         if not end.dominates(start):
             raise DegenerateEnsemble(f"empty ensemble {start} -> {end}")
-        self.scheme = scheme
         self.start = start
         self.end = end
-        self.q0 = q0
         self.seed = seed
         backward = backward_table(scheme, start, end, q0)
         values, flow = backward.values, backward.flow

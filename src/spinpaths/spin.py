@@ -80,38 +80,14 @@ def sector_configs(L: int, K: int, N: int) -> list[SpinConfig]:
     occupation word read from site -L to K (the basis order of the oracle)."""
     sites = L + K + 1
     _check_enumerable(sites, N, sites)
-    words = []
-    for positions in itertools.combinations(range(sites), N):
-        word = [0] * sites
-        for p in positions:
-            word[p] = 1
-        words.append(tuple(word))
-    words.sort()
-    return [SpinConfig(L, K, w) for w in words]
+    return [SpinConfig.from_down_sites(L, K, downs)
+            for downs in (_positions(sites, N)[::-1] - L).tolist()]
 
 
 def amplitude(config: SpinConfig) -> LaurentPoly:
     """Ground-state amplitude: the monomial q^(sum over occupied sites of |x|)."""
     exponent = sum(abs(x) for x in range(-config.L, config.K + 1) if config.at(x))
     return LaurentPoly.q_power(exponent)
-
-
-def eigen_ratio_check(config: SpinConfig, x: int) -> bool:
-    """Check the adjacent-swap amplitude ratio at sites (x, x+1).
-
-    With the pair set to (down, up) versus (up, down) on a common
-    background, the amplitude ratio must be q for x < 0 and 1/q for
-    x >= 0.  Amplitudes are monomials, so this is an exponent check.
-    """
-    if not -config.L <= x < config.K:
-        raise ValueError(f"x must lie in [{-config.L}, {config.K - 1}]")
-    word = list(config.alpha)
-    word[x + config.L], word[x + config.L + 1] = 1, 0
-    down_up = SpinConfig(config.L, config.K, tuple(word))
-    word[x + config.L], word[x + config.L + 1] = 0, 1
-    up_down = SpinConfig(config.L, config.K, tuple(word))
-    diff = amplitude(down_up).degree() - amplitude(up_down).degree()
-    return diff == (1 if x < 0 else -1)
 
 
 def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
@@ -122,11 +98,11 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     species, so a chain of 10^5 sites with one spin of either kind costs
     10^5 short rows, not 10^5 words of 10^5 sites.
     """
+    if L < 0 or K < 0:
+        raise ValueError("K and L must be nonnegative")
     sites = L + K + 1
     n = min(N, sites - N)
     _check_enumerable(sites, N, n)
-    if L < 0 or K < 0:
-        raise ValueError("L and K must be nonnegative")
     # sum |x| over the minority sites; over the up sites it is the complement
     exponents = np.abs(_positions(sites, n) - L).sum(axis=1)
     if n < N:
@@ -227,11 +203,11 @@ def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
     """
     if not 0.0 < q0 < 1.0:
         raise ValueError("q0 must lie in (0, 1)")
+    if L < 0 or K < 0:
+        raise ValueError("K and L must be nonnegative")
     sites = L + K + 1
     if not 0 <= N <= sites:
         raise ValueError(f"N must lie in [0, {sites}]")
-    if L < 0 or K < 0:
-        raise ValueError("L and K must be nonnegative")
     dim = math.comb(sites, N)
     if dim > SECTOR_DIMENSION_LIMIT:
         raise EnsembleTooLarge(f"sector dimension {dim} exceeds {SECTOR_DIMENSION_LIMIT}")

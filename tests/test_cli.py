@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -252,9 +253,9 @@ class TestIdentitySuite:
         identity_suite(1, 1, [Fraction(1, 2)])
         instances = [PinnedInstance(K=K, L=L, N=N)
                      for K in range(2) for L in range(2) for N in range(K + L + 2)]
-        rep2_sweeps = sum(2 * len(partition.rep2_splits(inst)) for inst in instances)
+        # 50 translation tables, then per instance one rep1 and two rep2 tables;
         # the slow path sweeps over 1 450 tables here
-        assert len(calls) <= 50 + len(instances) + rep2_sweeps
+        assert len(calls) <= 50 + 3 * len(instances)
 
 
 class TestVerifyCommand:
@@ -376,6 +377,34 @@ class TestCleanExits:
                              "--q", "1/2")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: internal identity failed")
+
+    @pytest.mark.parametrize("command", ["norm", "hamiltonian"])
+    def test_negative_extent(self, capsys, command):
+        code, out, err = run(capsys, command, "-K", "1", "-L", "-5", "-N", "0")
+        assert code == 2 and out == ""
+        assert err == "error: K and L must be nonnegative\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the interpreter has no int/str digit limit")
+    def test_exact_output_past_the_digit_limit(self, capsys):
+        # Z at q = 10^-6 has over 4 300 digits, the interpreter's default limit
+        # on int/str conversion; main lifts it and puts back what it found
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4400)
+        try:
+            code, out, err = run(capsys, "profile", "-K", "30", "-L", "30", "-N", "30",
+                                 "--q", "1/1000000")
+            assert (code, err) == (0, "")
+            rows = out.splitlines()[1:]
+            assert [int(row.split(",")[0]) for row in rows] == list(range(-30, 31))
+            assert max(len(row) for row in rows) > 4400
+            assert sys.get_int_max_str_digits() == 4400
+            code, out, err = run(capsys, "profile", "-K", "30", "-L", "30", "-N", "99",
+                                 "--q", "1/1000000")
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert sys.get_int_max_str_digits() == 4400
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestParseRational:

@@ -14,7 +14,6 @@ from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
                        pinning_distribution, sector_configs, sphere)
 from spinpaths import partition
 from spinpaths.lattice import H_STEP, horizontal_bond, vertical_bond
-from spinpaths.partition import rep2_start
 
 ORIGIN = Point(0, 0)
 HALF = Fraction(1, 2)
@@ -180,7 +179,7 @@ def poly_profile(inst, q0):
     for a in range(0, min(inst.N, inst.L + 1) + 1):
         if inst.N - a > inst.K:
             continue
-        start, end = rep2_start(inst, a), Point(inst.N - a, inst.K - inst.N + a)
+        start, end = Point(-a, -(inst.L + 1 - a)), Point(inst.N - a, inst.K - inst.N + a)
         parts = [(lo, hi, forward_table(scheme, lo, hi), backward_table(scheme, lo, hi))
                  for lo, hi in ((start, ORIGIN), (ORIGIN, end))]
         z_parts = [fwd[hi].evaluate(q0) for _, hi, fwd, _ in parts]

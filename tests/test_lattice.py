@@ -5,7 +5,7 @@ import math
 import pytest
 
 from spinpaths import EnsembleTooLarge, LatticePath, Point, enumerate_paths, sphere
-from spinpaths.lattice import PATH_ENUMERATION_LIMIT, path_count
+from spinpaths.lattice import PATH_ENUMERATION_LIMIT
 
 
 class TestEndpoint:
@@ -39,7 +39,7 @@ class TestEnumeratePaths:
             for dj in range(5):
                 start, end = Point(-1, 2), Point(-1 + di, 2 + dj)
                 paths = enumerate_paths(start, end)
-                assert len(paths) == math.comb(di + dj, di) == path_count(start, end)
+                assert len(paths) == math.comb(di + dj, di)
                 for p in paths:
                     assert p.endpoint() == end
 
@@ -141,10 +141,3 @@ def test_point_contract():
     with pytest.raises(AttributeError):
         Point(1, 2).i = 3
 
-
-def test_concat():
-    a = LatticePath(Point(0, 0), "HV")
-    b = LatticePath(Point(1, 1), "VH")
-    assert a.concat(b).steps == "HVVH"
-    with pytest.raises(ValueError):
-        b.concat(a)

@@ -16,6 +16,7 @@ from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
                        pinning_distribution, rec1_readings, sphere,
                        translated_interface, verify_average_representation,
                        verify_rec2)
+from spinpaths import partition
 from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
 from spinpaths.partition import rec2_rhs, verify_rec1
 from spinpaths.qpoly import ONE, ZERO
@@ -316,6 +317,35 @@ class TestPinnedRepresentations:
 
     def test_rep2_no_down_spins(self):
         assert pinned_rep2(PinnedInstance(K=3, L=2, N=0)) == LaurentPoly.one()
+
+    @settings(deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6))
+    def test_rep2_equals_the_per_split_sum(self, K, L):
+        # the slow path: each admissible split swept on its own two rectangles
+        scheme = PinnedRep2()
+        for N in range(K + L + 2):
+            want = ZERO
+            for a in range(min(N, L + 1) + 1):
+                if N - a <= K:
+                    want = want + partition_dp(scheme, Point(-a, a - L - 1), ORIGIN) * \
+                        partition_dp(scheme, ORIGIN, Point(N - a, K - N + a))
+            assert pinned_rep2(PinnedInstance(K=K, L=L, N=N)) == want, (K, L, N)
+
+    def test_rep2_sweeps_two_tables(self, monkeypatch):
+        # one backward table to the origin and one forward table from it
+        calls = []
+        real = partition._sweep
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(partition, "_sweep", counted)
+        for inst in (PinnedInstance(K=0, L=0, N=0), PinnedInstance(K=3, L=2, N=3),
+                     PinnedInstance(K=2, L=4, N=7)):
+            calls.clear()
+            pinned_rep2(inst)
+            assert len(calls) == 2, inst
 
     def test_rep1_equals_rep2_exhaustive(self):
         for K in range(5):

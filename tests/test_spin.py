@@ -1,6 +1,5 @@
 """Spin configurations, amplitudes, bijections, and the Hamiltonian oracle."""
 
-import itertools
 import math
 import time
 import tracemalloc
@@ -17,7 +16,7 @@ from spinpaths import (EnsembleTooLarge, LaurentPoly, PinnedRep1, PinnedRep2,
                        verify_ground_state)
 from spinpaths import spin
 from spinpaths.partition import PinnedInstance
-from spinpaths.spin import eigen_ratio_check, ground_state_vector
+from spinpaths.spin import ground_state_vector
 
 
 def mono(e):
@@ -63,29 +62,6 @@ class TestAmplitude:
     def test_additive_exponent(self):
         config = SpinConfig.from_down_sites(3, 2, [-3, -1, 2])
         assert amplitude(config) == mono(6)
-
-
-class TestEigenRatio:
-    def test_left_of_pin(self):
-        config = SpinConfig.from_down_sites(1, 1, [-1])
-        assert eigen_ratio_check(config, -1)
-
-    def test_right_of_pin(self):
-        config = SpinConfig.from_down_sites(1, 1, [0])
-        assert eigen_ratio_check(config, 0)
-
-    def test_exhaustive_sweep(self):
-        for L in range(6):
-            for K in range(6):
-                sites = L + K + 1
-                for word in itertools.product((0, 1), repeat=sites):
-                    config = SpinConfig(L, K, word)
-                    for x in range(-L, K):
-                        assert eigen_ratio_check(config, x), (L, K, word, x)
-
-    def test_site_out_of_range(self):
-        with pytest.raises(ValueError):
-            eigen_ratio_check(SpinConfig(1, 1, (0, 0, 0)), 1)
 
 
 class TestNormSquared:
