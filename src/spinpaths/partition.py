@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .lattice import H_STEP, Point, V_STEP, enumerate_paths
-from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, unpack
+from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, pack, unpack
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
 ORIGIN = Point(0, 0)
@@ -62,32 +62,37 @@ class PartitionTable:
     rectangle read as that ring's 0.
     """
 
-    __slots__ = ("values", "_weights", "origin", "_decode")
+    __slots__ = ("values", "_codes", "_corner", "origin", "_decode")
 
     def __init__(self, values: dict[tuple[int, int], int],
-                 weights: dict[tuple[int, int, str], tuple[int, int]], origin: Point,
-                 decode: Callable[[int, int, int], LaurentPoly | Fraction]):
+                 codes: dict[str, list[list[tuple[int, int]] | None]], corner: Point,
+                 origin: Point, decode: Callable[[int, int, int], LaurentPoly | Fraction]):
         self.values = values
-        # bond (i, j, orientation) -> its encoded weight (m, k), the int m << k
-        self._weights = weights
+        # codes[orientation][d][i - corner.i]: the encoded weight (m, k), the int
+        # m << k, of the bond with tail (i, j) on the diagonal i + j = corner.i + corner.j + d
+        self._codes = codes
+        self._corner = corner   # the rectangle's lowest point
         self.origin = origin
         self._decode = decode
 
     def flow(self, i: int, j: int, orientation: str) -> int:
         """The encoded weight of the bond with tail (i, j) times the cell at
-        its head, as one int; 0 when the head is off the rectangle.
+        its head, as one int; 0 when the bond is off the rectangle.
 
         In a backward table this is the weight of the paths from (i, j) that
         take the bond first.  Tables of one scheme, rectangle and q encode
         alike, so a forward cell at (i, j) times it is the weight of the
         whole paths through the bond, which reads as the far corner does.
         """
-        code = self._weights.get((i, j, orientation))
-        if code is None:
+        i0, j0 = self._corner
+        if orientation == H_STEP:
+            head = self.values.get((i + 1, j)) if i >= i0 else None
+        else:
+            head = self.values.get((i, j + 1)) if j >= j0 else None
+        if head is None:
             return 0
-        m, k = code
-        head = (i + 1, j) if orientation == H_STEP else (i, j + 1)
-        return (m * self.values[head]) << k
+        m, k = self._codes[orientation][i + j - i0 - j0][i - i0]
+        return (m * head) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
         """The cell at point, decoded.
@@ -105,7 +110,7 @@ class PartitionTable:
 def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | None):
     """Encode every bond weight of the nonempty rectangle [start, end] as an int.
 
-    Returns (weights, decode) as PartitionTable holds them; decode(n, a, b)
+    Returns (codes, decode) as PartitionTable holds them; decode(n, a, b)
     reads a value that spans a horizontal and b vertical steps.  The
     exponents of each orientation o are offset by V_o = min(0, lowest
     exponent), so such a value is offset by a*V_h + b*V_v.
@@ -119,22 +124,40 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     Offsets per orientation leave a weight of 1, such as every vertical
     weight of the named schemes, encoded as 1.  An encoded weight is
     stored as (m, k), the int m << k with m odd, so a product by a power
-    of 2, such as a monomial's code, is a shift.  Most tables are a few
-    cells, so the set-up is plain loops: one over the bonds, one over the
-    distinct weights, keyed by their raw terms (hashing a LaurentPoly
-    sorts them), and one that hands each bond its code.
+    of 2, such as a monomial's code, is a shift.  The codes of the bonds
+    of one orientation whose tails lie on one diagonal form a row indexed
+    by i - start.i.  A scheme that weighs by diagonal is asked once per
+    row, and its row repeats that one code; any other is asked bond by
+    bond.  The distinct weights are keyed by their raw terms (hashing a
+    LaurentPoly sorts them) and encoded once each.
     """
     bond_weight = scheme.bond_weight
-    terms = {}   # bond -> raw terms of its weight
+    by_diagonal = scheme.by_diagonal
+    i0, j0 = start
+    i1, j1 = end
+    di, dj = i1 - i0, j1 - j0
+    # orientation -> per tail diagonal, the raw terms of its one weight, or of its
+    # weights by i - i0
+    asked = {}
     codes = {}   # (orientation, raw terms) -> its code
-    for i in range(start.i, end.i + 1):
-        for j in range(start.j, end.j + 1):
-            if i < end.i:
-                t = terms[i, j, H_STEP] = tuple(bond_weight(i, j, H_STEP)._terms.items())
-                codes[H_STEP, t] = None
-            if j < end.j:
-                t = terms[i, j, V_STEP] = tuple(bond_weight(i, j, V_STEP)._terms.items())
-                codes[V_STEP, t] = None
+    for o, ti, tj in ((H_STEP, i1 - 1, j1), (V_STEP, i1, j1 - 1)):
+        # the tails of the bonds of orientation o fill the rectangle [start, (ti, tj)]
+        if ti < i0 or tj < j0:
+            continue
+        rows = asked[o] = []
+        for s in range(i0 + j0, ti + tj + 1):
+            lo = s - tj if s - tj > i0 else i0
+            if by_diagonal:
+                t = tuple(bond_weight(lo, s - lo, o)._terms.items())
+                codes[o, t] = None
+                rows.append(t)
+                continue
+            row = [None] * (lo - i0)
+            for i in range(lo, min(ti, s - j0) + 1):
+                t = tuple(bond_weight(i, s - i, o)._terms.items())
+                codes[o, t] = None
+                row.append(t)
+            rows.append(row)
     lows = {H_STEP: 0, V_STEP: 0}
     highs = {H_STEP: 0, V_STEP: 0}
     bound, signed = 1, False
@@ -156,14 +179,10 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
             for e, _ in t:
                 stride = math.gcd(stride, e - lows[o])
         stride = stride or 1
-        di, dj = end.i - start.i, end.j - start.j
         width = max(1, (math.comb(di + dj, di) * bound ** (di + dj)).bit_length()) + signed
         for key in codes:
             o, t = key
-            n = 0
-            for e, c in t:
-                n += c << width * ((e - lows[o]) // stride)
-            codes[key] = _odd_and_shift(n)
+            codes[key] = _odd_and_shift(pack(t, width, stride, lows[o]))
 
         def decode(n: int, a: int, b: int) -> LaurentPoly:
             return unpack(n, width, stride, a * low_h + b * low_v, signed)
@@ -182,9 +201,14 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
 
         def decode(n: int, a: int, b: int) -> Fraction:
             return Fraction(n, scale_h ** a * scale_v ** b)
-    for bond, t in terms.items():
-        terms[bond] = codes[bond[2], t]
-    return terms, decode
+    # an orientation without bonds keeps rows of None, which nothing reads
+    table = {H_STEP: [None] * (di + dj), V_STEP: [None] * (di + dj)}
+    for o, rows in asked.items():
+        if by_diagonal:
+            table[o] = [[codes[o, t]] * (di + 1) for t in rows]
+        else:
+            table[o] = [[codes.get((o, t)) for t in row] for row in rows]
+    return table, decode
 
 
 def _odd_and_shift(n: int) -> tuple[int, int]:
@@ -198,36 +222,41 @@ def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> Par
 
     step +1 grows from start, so values[Q] = Z(start, Q); step -1 grows
     from end, so values[Q] = Z(Q, end).  Each diagonal i+j = const reads
-    only the one swept before it.  Every cell is one int, so the ring
-    enters only through the encoded weights and the decoder: with q0
-    given, a cell reads as Z at q = q0, an exact Fraction; otherwise as the
-    Laurent polynomial.
+    only the one swept before it, and the weight codes of one row.  Every
+    cell is one int, so the ring enters only through the encoded weights
+    and the decoder: with q0 given, a cell reads as Z at q = q0, an exact
+    Fraction; otherwise as the Laurent polynomial.
     """
     origin = start if step == 1 else end
     if end.i < start.i or end.j < start.j:
         zero = ZERO if q0 is None else Fraction(0)
-        return PartitionTable({}, {}, origin, lambda n, a, b: zero)
-    weights, decode = _encoding(scheme, start, end, None if q0 is None else Fraction(q0))
+        return PartitionTable({}, {}, start, origin, lambda n, a, b: zero)
+    codes, decode = _encoding(scheme, start, end, None if q0 is None else Fraction(q0))
+    rows_h, rows_v = codes[H_STEP], codes[V_STEP]
     oi, oj = origin
     values = {origin: 1}
     # a bond's tail is its lower end: the cell behind when growing from
-    # start, the cell itself when growing from end
+    # start, the cell itself when growing from end; either way both tails
+    # of a cell's bonds lie on one diagonal
     lag = 1 if step == 1 else 0
+    tail_h = start.i + lag   # i minus this is the row index of a cell's H bond
     for radius in range(1, (end.i - start.i) + (end.j - start.j) + 1):
         s = oi + oj + step * radius   # the diagonal i + j = s, in increasing i
+        d = s - lag - start.i - start.j
+        row_h, row_v = rows_h[d], rows_v[d]
         for i in range(max(start.i, s - end.j), min(end.i, s - start.j) + 1):
             j = s - i
             n = 0
             # m is 1 for a weight that is a power of 2, such as q^e with coefficient
             # 1 in a packed polynomial; skip that product, which only copies
             if i != oi:
-                m, k = weights[i - lag, j, H_STEP]
+                m, k = row_h[i - tail_h]
                 n = (values[i - step, j] if m == 1 else m * values[i - step, j]) << k
             if j != oj:
-                m, k = weights[i, j - lag, V_STEP]
+                m, k = row_v[i - start.i]
                 n += (values[i, j - step] if m == 1 else m * values[i, j - step]) << k
             values[i, j] = n
-    return PartitionTable(values, weights, origin, decode)
+    return PartitionTable(values, codes, start, origin, decode)
 
 
 def forward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:

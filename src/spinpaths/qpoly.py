@@ -12,8 +12,13 @@ share between threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Collection, Mapping
+
+# a product whose smaller operand has at least this many terms is taken as one
+# int product of the two operands packed by Kronecker substitution
+PACK_MIN_TERMS = 20
 
 
 class NotDivisible(ArithmeticError):
@@ -127,6 +132,10 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) >= PACK_MIN_TERMS:
+            out = _packed_product(a, b)
+            if out is not None:
+                return out
         terms: dict[int, int] = {}
         if len(a) == 1:
             # a monomial shifts the exponents: products of nonzero ints are
@@ -190,14 +199,32 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, q0) -> Fraction:
-        """Exact value at q = q0 (int or Fraction)."""
+        """Exact value at q = q0 (int or Fraction).
+
+        With q0 = p/r, lo = min(0, valuation) and hi = max(0, degree), the
+        value is the int sum of c * p^(e - lo) * r^(hi - e), taken by
+        Horner's rule from the top exponent down, over p^(-lo) * r^hi: one
+        Fraction, made at the end.
+        """
         q0 = Fraction(q0)
-        if q0 == 0 and self._terms and self.valuation() < 0:
+        terms = self._terms
+        if not terms:
+            return Fraction(0)
+        p, r = q0.numerator, q0.denominator
+        lo, hi = min(0, min(terms)), max(0, max(terms))
+        if p == 0 and lo < 0:
             raise ZeroToNegativePower("negative power of q at q = 0")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * q0 ** e
-        return total
+        num, r_pow, prev, gap = 0, 1, hi, None
+        for e in sorted(terms, reverse=True):
+            if e != prev:
+                if prev - e != gap:
+                    gap = prev - e
+                    p_gap, r_gap = p ** gap, r ** gap
+                num *= p_gap
+                r_pow *= r_gap
+                prev = e
+            num += terms[e] * r_pow
+        return Fraction(num * p ** (prev - lo), p ** -lo * r ** hi)
 
     # -- serialization ---------------------------------------------------------
 
@@ -255,6 +282,57 @@ def _coerce(value) -> LaurentPoly:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
+
+
+def pack(terms: Collection[tuple[int, int]], width: int, stride: int, shift: int) -> int:
+    """Kronecker substitution, the inverse of unpack: the int sum of
+    c * 2^(width * (e - shift) / stride) over the (e, c) pairs.
+
+    Every exponent must lie on the stride above shift, and every |c| below
+    2^width.  The slots from the highest term down to the lowest are
+    rendered as one binary string of width-bit fields, read by one int()
+    and shifted into place, so this is linear in the size of the result;
+    negative coefficients are rendered apart and subtracted.
+    """
+    if not terms:
+        return 0
+    if len(terms) == 1:
+        # a monomial, as most weights are: one shift, linear too
+        (e, c), = terms
+        return c << width * ((e - shift) // stride)
+    (low, _), (top, _) = min(terms), max(terms)
+    dense = [0] * ((top - low) // stride + 1)
+    for e, c in terms:
+        dense[(top - e) // stride] = c
+    field = f"{{:0{width}b}}".format
+    if min(dense) >= 0:
+        n = int("".join(map(field, dense)), 2)
+    else:
+        n = int("".join(field(c if c > 0 else 0) for c in dense), 2) \
+            - int("".join(field(-c if c < 0 else 0) for c in dense), 2)
+    return n << width * ((low - shift) // stride)
+
+
+def _packed_product(a: dict[int, int], b: dict[int, int]) -> LaurentPoly | None:
+    """The product of two term dicts as one int product of their packings, or
+    None when the packed product would hold more slots than the double loop
+    takes steps (sparse operands).
+
+    Both operands are strided by the gcd of their offset exponents.  A
+    product coefficient is at most min(|a|_1 * max|b|, |b|_1 * max|a|) in
+    size, so slots of that many bits, plus a sign bit when a coefficient is
+    negative, never carry into each other; unpack reads the borrows.
+    """
+    low_a, low_b = min(a), min(b)
+    stride = math.gcd(*(e - low_a for e in a), *(e - low_b for e in b)) or 1
+    if (max(a) - low_a + max(b) - low_b) // stride + 1 > len(a) * len(b):
+        return None
+    abs_a, abs_b = list(map(abs, a.values())), list(map(abs, b.values()))
+    bound = min(sum(abs_a) * max(abs_b), sum(abs_b) * max(abs_a))
+    signed = min(a.values()) < 0 or min(b.values()) < 0
+    width = bound.bit_length() + signed
+    n = pack(a.items(), width, stride, low_a) * pack(b.items(), width, stride, low_b)
+    return unpack(n, width, stride, low_a + low_b, signed)
 
 
 def unpack(n: int, width: int, stride: int, shift: int, signed: bool) -> LaurentPoly:

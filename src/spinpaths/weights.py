@@ -2,8 +2,9 @@
 
 A scheme is asked by coordinates: bond_weight(i, j, orientation) weighs
 the bond whose tail is (i, j), the point horizontal_bond/vertical_bond take.
-All schemes weigh vertical bonds as 1; the weight of a horizontal bond is a
-monomial in q determined by its right end (i+1, j), the head of the step.
+The named schemes weigh vertical bonds as 1, and a horizontal bond by a
+monomial in q determined by the diagonal of its right end (i+1, j), the
+head of the step; they declare that with ``by_diagonal``.
 Path weights are the product of bond weights, so weights multiply under
 path concatenation.
 """
@@ -25,6 +26,9 @@ class WeightScheme:
     """Base class: a rule assigning a monomial weight to every bond."""
 
     name = "abstract"
+    # True when a bond's weight depends only on its orientation and its
+    # tail's diagonal i + j, so one bond per diagonal stands for the rest
+    by_diagonal = False
 
     def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
         """Weight of the bond with tail (i, j) and orientation H_STEP or V_STEP."""
@@ -43,6 +47,7 @@ class InterfaceXXZ(WeightScheme):
     """Horizontal bond with right end (i+1, j) weighs q^(2(i+1+j))."""
 
     name = "interface"
+    by_diagonal = True
 
     def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
         if orientation != H_STEP:
@@ -63,6 +68,7 @@ class PinnedRep1(WeightScheme):
     L: int
 
     name = "rep1"
+    by_diagonal = True
 
     def __post_init__(self):
         if self.K < 0 or self.L < 0:
@@ -84,6 +90,7 @@ class PinnedRep2(WeightScheme):
     """Horizontal bond with right end (i+1, j) weighs q^(2|i+1+j|)."""
 
     name = "rep2"
+    by_diagonal = True
 
     def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
         if orientation != H_STEP:

@@ -207,6 +207,69 @@ def test_packed_sweep_matches_dict_polynomial_sweep(data):
         assert fwd_q[q] == fwd_ref[q].evaluate(q0) and bwd_q[q] == bwd_ref[q].evaluate(q0)
 
 
+class TestWeightCodes:
+    @pytest.mark.parametrize("scheme", [InterfaceXXZ(), PinnedRep1(K=9, L=12), PinnedRep2()])
+    def test_named_scheme_asked_once_per_diagonal(self, scheme, monkeypatch):
+        calls = []
+        real = type(scheme).bond_weight
+
+        def counted(self, i, j, orientation):
+            calls.append((i + j, orientation))
+            return real(self, i, j, orientation)
+
+        monkeypatch.setattr(type(scheme), "bond_weight", counted)
+        start, end = Point(-3, -2), Point(9, 7)   # 12 x 9: 234 bonds, 21 diagonals
+        for q0 in (None, Fraction(1, 3)):
+            calls.clear()
+            forward_table(scheme, start, end, q0)
+            backward_table(scheme, start, end, q0)
+            # one call per orientation and tail diagonal, in each of the two sweeps
+            assert sorted(calls) == sorted(2 * [(s, o) for s in range(-5, 16)
+                                                for o in (H_STEP, V_STEP)])
+
+    def test_custom_weights_varying_along_a_diagonal(self):
+        # the three horizontal bonds and two vertical bonds with tails on the
+        # diagonal i + j = 2 all weigh differently
+        scheme = CustomTable(table={
+            horizontal_bond(Point(0, 2)): poly({1: 1}),
+            horizontal_bond(Point(1, 1)): poly({3: 2, 0: -1}),
+            horizontal_bond(Point(2, 0)): poly({-2: 5}),
+            vertical_bond(Point(1, 1)): poly({-1: 1}),
+            vertical_bond(Point(2, 0)): poly({0: 3, 2: 1}),
+        })
+        start, end = ORIGIN, Point(3, 3)
+        fwd_ref, bwd_ref = reference_tables(scheme, start, end)
+        q0 = Fraction(-2, 7)
+        for q in (None, q0):
+            fwd, bwd = forward_table(scheme, start, end, q), backward_table(scheme, start, end, q)
+            for cell in fwd_ref:
+                want_f, want_b = fwd_ref[cell], bwd_ref[cell]
+                if q is not None:
+                    want_f, want_b = want_f.evaluate(q), want_b.evaluate(q)
+                assert fwd[cell] == want_f and bwd[cell] == want_b
+
+    @pytest.mark.parametrize("scheme", [InterfaceXXZ(), CustomTable(
+        table={horizontal_bond(Point(1, 0)): poly({1: 2, 2: -1}),
+               vertical_bond(Point(0, 1)): poly({-1: 3})})])
+    @pytest.mark.parametrize("q0", [None, Fraction(2, 5)])
+    def test_flow_reads_zero_off_the_rectangle(self, scheme, q0):
+        start, end = Point(-1, 0), Point(2, 2)
+        table = backward_table(scheme, start, end, q0)
+        for i in range(start.i - 1, end.i + 2):
+            for j in range(start.j - 1, end.j + 2):
+                h, v = table.flow(i, j, H_STEP), table.flow(i, j, V_STEP)
+                inside = start.i <= i <= end.i and start.j <= j <= end.j
+                if not inside or i == end.i:
+                    assert h == 0
+                if not inside or j == end.j:
+                    assert v == 0
+                if inside and (i, j) != end:
+                    # the paths from (i, j) take one of its two bonds first
+                    assert h + v == table.values[i, j]
+        empty = backward_table(scheme, end, start, q0)
+        assert empty.flow(0, 0, H_STEP) == empty.flow(0, 0, V_STEP) == 0
+
+
 class TestZeroQ:
     def test_negative_power_is_refused(self):
         # left of the anti-diagonal the interface weighs negative powers of q

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinpaths import LaurentPoly, NotDivisible, ZeroToNegativePower
-from spinpaths.qpoly import qsquare_factorial_product, unpack
+from spinpaths.qpoly import PACK_MIN_TERMS, _packed_product, pack, qsquare_factorial_product, unpack
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -63,6 +63,87 @@ class TestMul:
         assert p * m == expected
 
 
+def double_loop(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The product term by term: the slow path the packed product replaces."""
+    product: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            product[ea + eb] = product.get(ea + eb, 0) + ca * cb
+    return poly(product)
+
+
+# coefficients that fill a packed product's slots up to their edges: a run of
+# equal ones makes the middle product coefficient equal the slot bound, and a
+# power of two lifts the bound's bit length by one
+edge_coeffs = st.sampled_from([1, -1, 2**7 - 1, -(2**7 - 1), 2**7, -2**7,
+                               2**40 - 1, -(2**40 - 1), 2**40, -2**40])
+
+
+@st.composite
+def product_operands(draw, size):
+    """A polynomial of `size` terms: Laurent, strided, dense or sparse, signed."""
+    low = draw(st.integers(-40, 40))
+    stride = draw(st.sampled_from([1, 2, 3, 7]))
+    if draw(st.booleans()):
+        slots = range(size)
+    else:
+        slots = draw(st.lists(st.integers(0, 4 * size + 8), min_size=size, max_size=size,
+                              unique=True))
+    coeff = st.one_of(st.integers(-9, 9).filter(bool), edge_coeffs)
+    if draw(st.booleans()):
+        coeffs = [draw(coeff)] * size   # all equal: the slot bound is met
+    else:
+        coeffs = draw(st.lists(coeff, min_size=size, max_size=size))
+    return poly({low + stride * s: c for s, c in zip(slots, coeffs)})
+
+
+class TestPackedProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_double_loop(self, data):
+        # sizes on both sides of the threshold, monomials and 0 included
+        small = data.draw(st.sampled_from([0, 1, 2, PACK_MIN_TERMS - 1, PACK_MIN_TERMS])
+                          | st.integers(0, 3 * PACK_MIN_TERMS))
+        a = data.draw(product_operands(small))
+        b = data.draw(product_operands(data.draw(st.integers(small, 4 * PACK_MIN_TERMS))))
+        expected = double_loop(a, b)
+        assert a * b == expected and b * a == expected
+        if a and b:
+            # the packed path itself, below the threshold too, unless it declines
+            packed = _packed_product(a._terms, b._terms)
+            assert packed is None or packed == expected
+
+    @pytest.mark.parametrize("ca, cb", [(3, 1), (-3, 1), (15, -13), (-15, -13),
+                                        (2**40, 2**40), (-(2**40 - 1), 2**40 - 1)])
+    @pytest.mark.parametrize("alternate", [False, True])
+    def test_slot_edges(self, ca, cb, alternate):
+        # 21 equal coefficients times 21 more: the middle product coefficient
+        # is 21 * ca * cb, the slot bound itself, and 21 * 3 = 2^6 - 1 and
+        # 21 * 15 * 13 = 2^12 - 1 fill a slot to its edge; signs alternating
+        # in b make the slots borrow from the ones above
+        n = 21
+        a = poly({2 * k - 5: ca for k in range(n)})
+        b = poly({2 * k: -cb if alternate and k % 2 else cb for k in range(n)})
+        assert _packed_product(a._terms, b._terms) is not None
+        assert a * b == double_loop(a, b)
+
+    def test_sparse_operands_take_the_double_loop(self):
+        # exponents 1 apart at the bottom and 10^6 apart above: the slots would
+        # outnumber the double loop's steps by far
+        a = poly({0: 1, **{10**6 * k + 1: 1 for k in range(PACK_MIN_TERMS)}})
+        assert _packed_product(a._terms, a._terms) is None
+        assert a * a == double_loop(a, a)
+
+    @given(st.dictionaries(st.integers(-20, 20), st.integers(-2**12 + 1, 2**12 - 1),
+                           max_size=10), st.sampled_from([1, 2, 5]))
+    def test_pack_is_the_substitution_unpack_inverts(self, terms, stride):
+        p = poly({stride * e: c for e, c in terms.items()})
+        shift = min(p._terms, default=0) - stride * 2
+        n = pack(p.items(), 13, stride, shift)
+        assert n == sum(c << 13 * ((e - shift) // stride) for e, c in p.items())
+        assert unpack(n, 13, stride, shift, True) == p
+
+
 class TestDivExact:
     def test_geometric_factor(self):
         assert poly({0: 1, 6: -1}).div_exact(poly({0: 1, 2: -1})) == poly({0: 1, 2: 1, 4: 1})
@@ -93,6 +174,19 @@ class TestEvaluate:
 
     def test_zero_base_nonnegative_exponents(self):
         assert poly({0: 7, 3: 5}).evaluate(0) == 7
+        assert poly({2: 7, 3: 5}).evaluate(0) == 0 and ZERO.evaluate(0) == 0
+
+    @given(st.dictionaries(st.integers(-15, 15), st.integers(-2**70, 2**70), max_size=12),
+           st.one_of(rationals, st.just(Fraction(0)), st.integers(-5, 5)))
+    def test_matches_term_by_term_sum(self, terms, q0):
+        p = poly(terms)
+        if q0 == 0 and p and p.valuation() < 0:
+            with pytest.raises(ZeroToNegativePower):
+                p.evaluate(q0)
+            return
+        value = p.evaluate(q0)
+        assert type(value) is Fraction
+        assert value == sum((c * Fraction(q0) ** e for e, c in p.items()), Fraction(0))
 
 
 class TestQSquareFactorialProduct:
