@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .lattice import H_STEP, Point, V_STEP, enumerate_paths
-from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, pack, unpack
+from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, numerator, pack, unpack
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
 ORIGIN = Point(0, 0)
@@ -62,16 +62,19 @@ class PartitionTable:
     rectangle read as that ring's 0.
     """
 
-    __slots__ = ("values", "_codes", "_corner", "origin", "_decode")
+    __slots__ = ("values", "_codes", "_start", "_end", "origin", "_decode")
 
     def __init__(self, values: dict[tuple[int, int], int],
-                 codes: dict[str, list[list[tuple[int, int]] | None]], corner: Point,
-                 origin: Point, decode: Callable[[int, int, int], LaurentPoly | Fraction]):
+                 codes: dict[str, list[list[tuple[int, int]] | None]], start: Point,
+                 end: Point, origin: Point,
+                 decode: Callable[[int, int, int], LaurentPoly | Fraction]):
         self.values = values
-        # codes[orientation][d][i - corner.i]: the encoded weight (m, k), the int
-        # m << k, of the bond with tail (i, j) on the diagonal i + j = corner.i + corner.j + d
+        # codes[orientation][d]: the encoded weights (m, k), the ints m << k, of
+        # the bonds whose tails lie on the diagonal i + j = start.i + start.j + d,
+        # from the lowest i on it up (see _encoding)
         self._codes = codes
-        self._corner = corner   # the rectangle's lowest point
+        self._start = start
+        self._end = end
         self.origin = origin
         self._decode = decode
 
@@ -84,14 +87,17 @@ class PartitionTable:
         alike, so a forward cell at (i, j) times it is the weight of the
         whole paths through the bond, which reads as the far corner does.
         """
-        i0, j0 = self._corner
+        i0, j0 = self._start
+        top = self._end.j   # the highest tail j of a horizontal bond
         if orientation == H_STEP:
             head = self.values.get((i + 1, j)) if i >= i0 else None
         else:
             head = self.values.get((i, j + 1)) if j >= j0 else None
+            top -= 1
         if head is None:
             return 0
-        m, k = self._codes[orientation][i + j - i0 - j0][i - i0]
+        s = i + j
+        m, k = self._codes[orientation][s - i0 - j0][i - max(i0, s - top)]
         return (m * head) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
@@ -125,19 +131,21 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     weight of the named schemes, encoded as 1.  An encoded weight is
     stored as (m, k), the int m << k with m odd, so a product by a power
     of 2, such as a monomial's code, is a shift.  The codes of the bonds
-    of one orientation whose tails lie on one diagonal form a row indexed
-    by i - start.i.  A scheme that weighs by diagonal is asked once per
-    row, and its row repeats that one code; any other is asked bond by
-    bond.  The distinct weights are keyed by their raw terms (hashing a
-    LaurentPoly sorts them) and encoded once each.
+    of one orientation whose tails lie on one diagonal s = i + j form a
+    row indexed by i - max(start.i, s - tj), tj the highest tail j of that
+    orientation, so a row holds exactly its diagonal's bonds.  A scheme
+    that weighs by diagonal is asked once per row, and its row repeats
+    that one code; any other is asked bond by bond.  The distinct weights
+    are keyed by their raw terms (hashing a LaurentPoly sorts them) and
+    encoded once each.
     """
     bond_weight = scheme.bond_weight
     by_diagonal = scheme.by_diagonal
     i0, j0 = start
     i1, j1 = end
     di, dj = i1 - i0, j1 - j0
-    # orientation -> per tail diagonal, the raw terms of its one weight, or of its
-    # weights by i - i0
+    # orientation -> per tail diagonal, the raw terms of its one weight and its
+    # bond count, or the raw terms of its weights by i
     asked = {}
     codes = {}   # (orientation, raw terms) -> its code
     for o, ti, tj in ((H_STEP, i1 - 1, j1), (V_STEP, i1, j1 - 1)):
@@ -146,14 +154,14 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
             continue
         rows = asked[o] = []
         for s in range(i0 + j0, ti + tj + 1):
-            lo = s - tj if s - tj > i0 else i0
+            lo, hi = max(i0, s - tj), min(ti, s - j0)
             if by_diagonal:
                 t = tuple(bond_weight(lo, s - lo, o)._terms.items())
                 codes[o, t] = None
-                rows.append(t)
+                rows.append((t, hi - lo + 1))
                 continue
-            row = [None] * (lo - i0)
-            for i in range(lo, min(ti, s - j0) + 1):
+            row = []
+            for i in range(lo, hi + 1):
                 t = tuple(bond_weight(i, s - i, o)._terms.items())
                 codes[o, t] = None
                 row.append(t)
@@ -192,10 +200,7 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
             raise ZeroToNegativePower("negative power of q at q = 0")
         for key in codes:
             o, t = key
-            n = 0
-            for e, c in t:
-                n += c * p ** (e - lows[o]) * r ** (highs[o] - e)
-            codes[key] = _odd_and_shift(n)
+            codes[key] = _odd_and_shift(numerator(t, p, r, lows[o], highs[o]))
         scale_h = p ** -low_h * r ** highs[H_STEP]
         scale_v = p ** -low_v * r ** highs[V_STEP]
 
@@ -205,9 +210,9 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     table = {H_STEP: [None] * (di + dj), V_STEP: [None] * (di + dj)}
     for o, rows in asked.items():
         if by_diagonal:
-            table[o] = [[codes[o, t]] * (di + 1) for t in rows]
+            table[o] = [[codes[o, t]] * n for t, n in rows]
         else:
-            table[o] = [[codes.get((o, t)) for t in row] for row in rows]
+            table[o] = [[codes[o, t] for t in row] for row in rows]
     return table, decode
 
 
@@ -230,33 +235,38 @@ def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> Par
     origin = start if step == 1 else end
     if end.i < start.i or end.j < start.j:
         zero = ZERO if q0 is None else Fraction(0)
-        return PartitionTable({}, {}, start, origin, lambda n, a, b: zero)
+        return PartitionTable({}, {}, start, end, origin, lambda n, a, b: zero)
     codes, decode = _encoding(scheme, start, end, None if q0 is None else Fraction(q0))
     rows_h, rows_v = codes[H_STEP], codes[V_STEP]
+    i0, j0 = start
+    i1, j1 = end
     oi, oj = origin
     values = {origin: 1}
     # a bond's tail is its lower end: the cell behind when growing from
     # start, the cell itself when growing from end; either way both tails
     # of a cell's bonds lie on one diagonal
     lag = 1 if step == 1 else 0
-    tail_h = start.i + lag   # i minus this is the row index of a cell's H bond
-    for radius in range(1, (end.i - start.i) + (end.j - start.j) + 1):
+    for radius in range(1, (i1 - i0) + (j1 - j0) + 1):
         s = oi + oj + step * radius   # the diagonal i + j = s, in increasing i
-        d = s - lag - start.i - start.j
-        row_h, row_v = rows_h[d], rows_v[d]
-        for i in range(max(start.i, s - end.j), min(end.i, s - start.j) + 1):
+        t = s - lag   # the tails' diagonal
+        row_h, row_v = rows_h[t - i0 - j0], rows_v[t - i0 - j0]
+        # a row starts at its diagonal's lowest tail; i minus these offsets
+        # indexes a cell's bonds
+        off_h = lag + max(i0, t - j1)
+        off_v = max(i0, t - j1 + 1)
+        for i in range(max(i0, s - j1), min(i1, s - j0) + 1):
             j = s - i
             n = 0
             # m is 1 for a weight that is a power of 2, such as q^e with coefficient
             # 1 in a packed polynomial; skip that product, which only copies
             if i != oi:
-                m, k = row_h[i - tail_h]
+                m, k = row_h[i - off_h]
                 n = (values[i - step, j] if m == 1 else m * values[i - step, j]) << k
             if j != oj:
-                m, k = row_v[i - start.i]
+                m, k = row_v[i - off_v]
                 n += (values[i, j - step] if m == 1 else m * values[i, j - step]) << k
             values[i, j] = n
-    return PartitionTable(values, codes, start, origin, decode)
+    return PartitionTable(values, codes, start, end, origin, decode)
 
 
 def forward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:

@@ -16,9 +16,9 @@ import math
 from fractions import Fraction
 from typing import Collection, Mapping
 
-# a product whose smaller operand has at least this many terms is taken as one
-# int product of the two operands packed by Kronecker substitution
-PACK_MIN_TERMS = 20
+# the fewest terms of the smaller operand of a product taken by Kronecker
+# substitution; wide or signed slots need more (see _packed_product)
+PACK_MIN_TERMS = 24
 
 
 class NotDivisible(ArithmeticError):
@@ -202,8 +202,7 @@ class LaurentPoly:
         """Exact value at q = q0 (int or Fraction).
 
         With q0 = p/r, lo = min(0, valuation) and hi = max(0, degree), the
-        value is the int sum of c * p^(e - lo) * r^(hi - e), taken by
-        Horner's rule from the top exponent down, over p^(-lo) * r^hi: one
+        value is numerator(terms, p, r, lo, hi) over p^(-lo) * r^hi: one
         Fraction, made at the end.
         """
         q0 = Fraction(q0)
@@ -214,17 +213,7 @@ class LaurentPoly:
         lo, hi = min(0, min(terms)), max(0, max(terms))
         if p == 0 and lo < 0:
             raise ZeroToNegativePower("negative power of q at q = 0")
-        num, r_pow, prev, gap = 0, 1, hi, None
-        for e in sorted(terms, reverse=True):
-            if e != prev:
-                if prev - e != gap:
-                    gap = prev - e
-                    p_gap, r_gap = p ** gap, r ** gap
-                num *= p_gap
-                r_pow *= r_gap
-                prev = e
-            num += terms[e] * r_pow
-        return Fraction(num * p ** (prev - lo), p ** -lo * r ** hi)
+        return Fraction(numerator(terms.items(), p, r, lo, hi), p ** -lo * r ** hi)
 
     # -- serialization ---------------------------------------------------------
 
@@ -284,6 +273,25 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 
 
+def numerator(terms: Collection[tuple[int, int]], p: int, r: int, lo: int, hi: int) -> int:
+    """The int sum of c * p^(e - lo) * r^(hi - e) over the (e, c) pairs, each e
+    in [lo, hi]: the value at q = p/r times p^(-lo) * r^hi.
+
+    Horner's rule, from the top exponent down, so the powers of p are
+    multiplied in as the exponents fall.
+    """
+    if len(terms) == 1:
+        # a monomial, as most weights are: two powers, no sort
+        (e, c), = terms
+        return c * p ** (e - lo) * r ** (hi - e)
+    num, r_pow, prev = 0, 1, hi
+    for e, c in sorted(terms, reverse=True):
+        r_pow *= r ** (prev - e)
+        num = num * p ** (prev - e) + c * r_pow
+        prev = e
+    return num * p ** (prev - lo)
+
+
 def pack(terms: Collection[tuple[int, int]], width: int, stride: int, shift: int) -> int:
     """Kronecker substitution, the inverse of unpack: the int sum of
     c * 2^(width * (e - shift) / stride) over the (e, c) pairs.
@@ -314,14 +322,18 @@ def pack(terms: Collection[tuple[int, int]], width: int, stride: int, shift: int
 
 
 def _packed_product(a: dict[int, int], b: dict[int, int]) -> LaurentPoly | None:
-    """The product of two term dicts as one int product of their packings, or
-    None when the packed product would hold more slots than the double loop
-    takes steps (sparse operands).
+    """The product of two term dicts, a the smaller, as one int product of
+    their packings; None when the double loop is expected to be faster.
 
     Both operands are strided by the gcd of their offset exponents.  A
     product coefficient is at most min(|a|_1 * max|b|, |b|_1 * max|a|) in
     size, so slots of that many bits, plus a sign bit when a coefficient is
-    negative, never carry into each other; unpack reads the borrows.
+    negative, never carry into each other; unpack reads the borrows.  The
+    packing costs more per term as the slots widen, and renders twice when
+    signed, so a needs PACK_MIN_TERMS terms, 8 more when signed, and one
+    more per 12 bits of width.  Operands so sparse that the packed product
+    would hold more slots than the double loop takes steps are declined
+    too.
     """
     low_a, low_b = min(a), min(b)
     stride = math.gcd(*(e - low_a for e in a), *(e - low_b for e in b)) or 1
@@ -331,6 +343,8 @@ def _packed_product(a: dict[int, int], b: dict[int, int]) -> LaurentPoly | None:
     bound = min(sum(abs_a) * max(abs_b), sum(abs_b) * max(abs_a))
     signed = min(a.values()) < 0 or min(b.values()) < 0
     width = bound.bit_length() + signed
+    if len(a) < PACK_MIN_TERMS + 8 * signed + width // 12:
+        return None
     n = pack(a.items(), width, stride, low_a) * pack(b.items(), width, stride, low_b)
     return unpack(n, width, stride, low_a + low_b, signed)
 

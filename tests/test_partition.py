@@ -269,6 +269,30 @@ class TestWeightCodes:
         empty = backward_table(scheme, end, start, q0)
         assert empty.flow(0, 0, H_STEP) == empty.flow(0, 0, V_STEP) == 0
 
+    # the interface's cells grow with the square of the width, so its
+    # rectangles are narrower
+    @pytest.mark.parametrize("scheme, corners", [
+        (InterfaceXXZ(), (Point(0, 0), Point(300, 1))),
+        (InterfaceXXZ(), (Point(-1, 0), Point(1, 300))),
+        (CustomTable(table={horizontal_bond(Point(0, 1)): poly({1: 2}),
+                            vertical_bond(Point(0, 0)): poly({-1: 3, 2: 1})}),
+         (Point(0, 0), Point(2000, 1))),
+    ])
+    def test_wide_and_tall_tables_hold_one_code_per_bond(self, scheme, corners):
+        start, end = corners
+        di, dj = end.i - start.i, end.j - start.j
+        bonds = di * (dj + 1) + (di + 1) * dj
+        for q0 in (None, Fraction(1, 3)):
+            table = backward_table(scheme, start, end, q0)
+            held = sum(len(row) for rows in table._codes.values() for row in rows if row)
+            assert held == bonds
+            # a bond read at either end of the long side carries its own weight
+            for i, j in ((0, 0), (0, 1), (end.i - 1, end.j - 1)):
+                for o, head in ((H_STEP, Point(i + 1, j)), (V_STEP, Point(i, j + 1))):
+                    weight = scheme.bond_weight(i, j, o)
+                    want = weight * table[head] if q0 is None else weight.evaluate(q0) * table[head]
+                    assert table._decode(table.flow(i, j, o), end.i - i, end.j - j) == want
+
 
 class TestZeroQ:
     def test_negative_power_is_refused(self):

@@ -113,19 +113,29 @@ class TestPackedProduct:
             packed = _packed_product(a._terms, b._terms)
             assert packed is None or packed == expected
 
-    @pytest.mark.parametrize("ca, cb", [(3, 1), (-3, 1), (15, -13), (-15, -13),
+    @pytest.mark.parametrize("ca, cb", [(3, 1), (-3, 1), (257, -3), (-257, -3),
                                         (2**40, 2**40), (-(2**40 - 1), 2**40 - 1)])
     @pytest.mark.parametrize("alternate", [False, True])
     def test_slot_edges(self, ca, cb, alternate):
-        # 21 equal coefficients times 21 more: the middle product coefficient
-        # is 21 * ca * cb, the slot bound itself, and 21 * 3 = 2^6 - 1 and
-        # 21 * 15 * 13 = 2^12 - 1 fill a slot to its edge; signs alternating
+        # 85 equal coefficients times 85 more: the middle product coefficient
+        # is 85 * ca * cb, the slot bound itself, and 85 * 3 = 2^8 - 1 and
+        # 85 * 257 * 3 = 2^16 - 1 fill a slot to its edge; signs alternating
         # in b make the slots borrow from the ones above
-        n = 21
+        n = 85
         a = poly({2 * k - 5: ca for k in range(n)})
         b = poly({2 * k: -cb if alternate and k % 2 else cb for k in range(n)})
         assert _packed_product(a._terms, b._terms) is not None
         assert a * b == double_loop(a, b)
+
+    @pytest.mark.parametrize("size, coeff, packed", [
+        (PACK_MIN_TERMS, 1, True),
+        (31, -1, False), (32, -1, True),           # signed: 8 more terms
+        (90, 2**400, False), (91, 2**400, True),   # 807-bit slots: 807 // 12 = 67 more
+    ])
+    def test_threshold_grows_with_sign_and_width(self, size, coeff, packed):
+        a = poly({k: coeff for k in range(size)})
+        assert (_packed_product(a._terms, a._terms) is not None) == packed
+        assert a * a == double_loop(a, a)
 
     def test_sparse_operands_take_the_double_loop(self):
         # exponents 1 apart at the bottom and 10^6 apart above: the slots would
