@@ -304,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "ground-state cross-checks for the pinned chain.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scheme(p, required=True):
+    def add_scheme(p):
         p.add_argument("--scheme", choices=["interface", "rep1", "rep2"],
-                       required=required, help="weight scheme")
+                       required=True, help="weight scheme")
         p.add_argument("-K", type=int, default=None, help="chain extent right of the pin (rep1)")
         p.add_argument("-L", type=int, default=None, help="chain extent left of the pin (rep1)")
 

@@ -393,11 +393,6 @@ def rec1_sides(inst: PinnedInstance) -> tuple[LaurentPoly, LaurentPoly]:
     return lhs, rhs
 
 
-def verify_rec1(inst: PinnedInstance) -> bool:
-    lhs, rhs = rec1_sides(inst)
-    return lhs == rhs
-
-
 def rec1_readings(inst: PinnedInstance) -> dict:
     """Adjudicate both readings of the one-step recursion.
 
@@ -489,17 +484,22 @@ def _average_report(inst: PinnedInstance, q0, rep2: LaurentPoly) -> dict:
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
     lhs = rep2.evaluate(q0)
+    z_if = interface_closed_form(inst.N, inst.M).evaluate(q0)
 
-    # brute-force canonical expectation over the interface ensemble
-    total_sites = inst.N + inst.M
-    z_if = Fraction(0)
-    weighted = Fraction(0)
-    for downs in itertools.combinations(range(1, total_sites + 1), inst.N):
-        w = q0 ** (2 * sum(downs))
-        s = sum(1 for x in downs if x > inst.K)
-        z_if += w
-        weighted += w * q0 ** (-2 * (inst.K + 1) * s)
-    rhs = weighted  # Z_if * (weighted / Z_if)
+    # Z_if times the expectation sums, over the N-subsets of the sites
+    # x = 1..N+M, the product of y_x = q0^(2x) for x <= K and q0^(2(x-K-1))
+    # after: the elementary symmetric polynomial e_N of the y_x, built site
+    # by site.  With q0 = p/r every y_x times r^(2 top), top = max(K, L),
+    # is an int, so e_N reads as an int over r^(2 top N)
+    p, r = q0.numerator, q0.denominator
+    top = max(inst.K, inst.L)
+    e = [1] + [0] * inst.N   # e[n] = e_n of the scaled y of the sites so far
+    for x in range(1, inst.N + inst.M + 1):
+        k = x if x <= inst.K else x - inst.K - 1
+        y = p ** (2 * k) * r ** (2 * (top - k))
+        for n in range(min(x, inst.N), 0, -1):
+            e[n] += e[n - 1] * y
+    rhs = Fraction(e[inst.N], r ** (2 * top * inst.N))
     holds = lhs == rhs
     return {
         "identity": "ave",
@@ -510,5 +510,5 @@ def _average_report(inst: PinnedInstance, q0, rep2: LaurentPoly) -> dict:
         "rhs": str(rhs),
         "ratio": str(lhs / rhs) if rhs else None,
         "interface_partition": str(z_if),
-        "expectation": str(weighted / z_if),
+        "expectation": str(rhs / z_if),
     }

@@ -42,9 +42,7 @@ class LaurentPoly:
                         or not isinstance(e, int) or not isinstance(c, int):
                     raise TypeError("exponents and coefficients must be int")
                 if c != 0:
-                    clean[e] = clean.get(e, 0) + c
-                    if clean[e] == 0:
-                        del clean[e]
+                    clean[e] = c
         self._terms = clean
 
     # -- constructors -----------------------------------------------------

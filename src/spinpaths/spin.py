@@ -203,6 +203,8 @@ def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
     """
     if not 0.0 < q0 < 1.0:
         raise ValueError("q0 must lie in (0, 1)")
+    if not math.isfinite(1 / q0):
+        raise ValueError(f"1/q0 overflows a float at q0 = {q0}")
     if L < 0 or K < 0:
         raise ValueError("K and L must be nonnegative")
     sites = L + K + 1

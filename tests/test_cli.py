@@ -384,6 +384,13 @@ class TestCleanExits:
         assert code == 2 and out == ""
         assert err == "error: K and L must be nonnegative\n"
 
+    def test_q0_with_overflowing_reciprocal(self, capsys, recwarn):
+        # 1/q0 is inf below about 5.6e-309; the oracle would weigh bonds by it
+        code, out, err = run(capsys, "hamiltonian", "-K", "1", "-L", "1", "-N", "1",
+                             "--q0", "1e-309")
+        assert code == 2 and out == "" and not recwarn.list
+        assert err == "error: 1/q0 overflows a float at q0 = 1e-309\n"
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="the interpreter has no int/str digit limit")
     def test_exact_output_past_the_digit_limit(self, capsys):

@@ -1,6 +1,7 @@
 """Partition functions: DP vs enumeration, closed form, translation,
 pinned-chain representations, and the recursion identities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from spinpaths import (CustomTable, InterfaceXXZ, LaurentPoly, PinnedInstance,
                        verify_rec2)
 from spinpaths import partition
 from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
-from spinpaths.partition import rec2_rhs, verify_rec1
+from spinpaths.partition import rec1_sides, rec2_rhs
 from spinpaths.qpoly import ONE, ZERO
 
 ORIGIN = Point(0, 0)
@@ -467,17 +468,19 @@ class TestConvolution:
 
 class TestRec1:
     def test_spec_instance(self):
-        assert verify_rec1(PinnedInstance(K=1, L=1, N=1))
+        lhs, rhs = rec1_sides(PinnedInstance(K=1, L=1, N=1))
+        assert lhs == rhs
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            verify_rec1(PinnedInstance(K=1, L=1, N=0))
+            rec1_sides(PinnedInstance(K=1, L=1, N=0))
 
     def test_fixed_weights_reading_holds_everywhere(self):
         for K in range(5):
             for L in range(5):
                 for N in range(1, K + L + 1):
-                    assert verify_rec1(PinnedInstance(K=K, L=L, N=N)), (K, L, N)
+                    lhs, rhs = rec1_sides(PinnedInstance(K=K, L=L, N=N))
+                    assert lhs == rhs, (K, L, N)
 
     def test_reinstanced_reading_fails(self):
         readings = rec1_readings(PinnedInstance(K=1, L=1, N=1))
@@ -551,6 +554,29 @@ class TestPinningDistribution:
             [(0, Fraction(1))]
 
 
+def average_report_by_subsets(inst, q0, rep2):
+    """The ave report with its right side summed over every N-subset of the
+    N+M interface sites, as the identity is first written (reference)."""
+    lhs = rep2.evaluate(q0)
+    z_if = weighted = Fraction(0)
+    for downs in itertools.combinations(range(1, inst.N + inst.M + 1), inst.N):
+        w = q0 ** (2 * sum(downs))
+        s = sum(1 for x in downs if x > inst.K)
+        z_if += w
+        weighted += w * q0 ** (-2 * (inst.K + 1) * s)
+    return {
+        "identity": "ave",
+        "parameters": {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M,
+                       "q0": str(q0), "s_reading": "down spins at sites -L..0"},
+        "holds": lhs == weighted,
+        "lhs": str(lhs),
+        "rhs": str(weighted),
+        "ratio": str(lhs / weighted),
+        "interface_partition": str(z_if),
+        "expectation": str(weighted / z_if),
+    }
+
+
 class TestAverageRepresentation:
     def test_spec_instance(self):
         report = verify_average_representation(PinnedInstance(K=1, L=1, N=1), Fraction(1, 2))
@@ -575,6 +601,23 @@ class TestAverageRepresentation:
         report = verify_average_representation(PinnedInstance(K=1, L=2, N=2), Fraction(1, 2))
         assert set(report) >= {"identity", "parameters", "holds", "lhs", "rhs", "ratio"}
         assert report["ratio"] == "1"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_key_matches_the_subset_sum(self, data):
+        K, L = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        inst = PinnedInstance(K=K, L=L, N=data.draw(st.integers(0, K + L + 1)))
+        q0 = data.draw(open_unit_rationals)
+        rep2 = pinned_rep2(inst)
+        assert partition._average_report(inst, q0, rep2) == \
+            average_report_by_subsets(inst, q0, rep2)
+
+    def test_enumerates_nothing(self):
+        # C(61, 31), about 2.3e17 subsets of the interface sites: no sum over
+        # them would finish
+        report = verify_average_representation(PinnedInstance(K=30, L=30, N=31),
+                                               Fraction(1, 2))
+        assert report["holds"] and report["ratio"] == "1"
 
 
 def test_pinned_instance_validation():
