@@ -366,7 +366,8 @@ def pinned_rep2(inst: PinnedInstance) -> LaurentPoly:
 def pinned_via_convolution(inst: PinnedInstance) -> LaurentPoly:
     """The pinned partition function as a convolution of interface closed forms."""
     total = ZERO
-    for n in range(0, inst.N + 1):
+    # a term with n > K, or with N - n > L + 1, has a zero factor
+    for n in range(max(0, inst.N - inst.L - 1), min(inst.N, inst.K) + 1):
         np_ = inst.N - n
         bracket = interface_closed_form(np_ - 1, inst.L - np_ + 1) + \
             interface_closed_form(np_, inst.L - np_)

@@ -4,7 +4,8 @@ Step probabilities come from the backward partition table, so a sampled
 path is distributed exactly per the measure (up to the one double
 conversion at the uniform-draw comparison, bounded by 2^-52 per step and
 negligible against Monte Carlo error).  The generator is counter-based
-(Philox), so derived streams are provably disjoint.
+(Philox), so derived streams are provably disjoint.  numpy is imported
+inside the functions that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .correlations import DegenerateEnsemble
 from .lattice import H_STEP, LatticePath, Point, V_STEP
@@ -35,6 +34,8 @@ class SamplerState:
     """
 
     def __init__(self, scheme: WeightScheme, start: Point, end: Point, q0, seed: int):
+        import numpy as np
+
         q0 = Fraction(q0)
         if not 0 <= seed < 2**128:
             raise ValueError(f"seed {seed} is out of range; it must lie in [0, 2**128)")
@@ -78,6 +79,8 @@ class SamplerState:
         Stream index k jumps the Philox counter k+1 times (2^128 draws per
         jump), so workers never overlap each other or the base stream.
         """
+        import numpy as np
+
         clone = copy.copy(self)
         clone.rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(index + 1))
         return clone
@@ -96,6 +99,8 @@ def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None 
     and a cell with Z = 0 is entered with probability exactly 0.  With
     `out`, step t of row r is written to out[r, t] (True = H).
     """
+    import numpy as np
+
     total = state.diag.shape[0]
     diag = list(state.diag)
     buffer = np.empty((min(BLOCK, samples), total))   # refilled in place, block by block
@@ -121,6 +126,8 @@ def sample_step_matrix(state: SamplerState, samples: int) -> np.ndarray:
     """
     if samples < 0:
         raise ValueError(f"sample count {samples} is negative")
+    import numpy as np
+
     total = state.diag.shape[0]
     out = np.empty((samples, total), dtype=bool)
     for _ in _walk(state, samples, total, out):
@@ -131,6 +138,8 @@ def sample_step_matrix(state: SamplerState, samples: int) -> np.ndarray:
 def sample_words(state: SamplerState, samples: int) -> list[str]:
     """Draw `samples` step words ('H'/'V' strings) exactly from w(p)/Z,
     advancing the state's stream; each starts at `state.start`."""
+    import numpy as np
+
     matrix = sample_step_matrix(state, samples)
     total = matrix.shape[1]
     words = np.where(matrix, ord(H_STEP), ord(V_STEP)).astype(np.uint8).tobytes().decode()
@@ -159,6 +168,8 @@ def estimate_crossing(state: SamplerState, point: Point, samples: int) -> tuple[
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    import numpy as np
+
     radius = (point.i - state.start.i) + (point.j - state.start.j)
     hits = 0
     if 0 <= radius <= state.diag.shape[0]:

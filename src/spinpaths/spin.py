@@ -6,7 +6,9 @@ Hamiltonian oracle deliberately works in floating point, since its only
 job is to certify a residual below 1e-10.  It holds each basis state as
 the sorted sites of its down spins and applies H to a vector in numpy
 without forming the dimension x dimension matrix, so its memory is
-dimension x N integers (H. Q. Lin, Phys. Rev. B 42, 6561, 1990).
+dimension x N integers (H. Q. Lin, Phys. Rev. B 42, 6561, 1990).  numpy is
+imported inside the functions that use it, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .lattice import EnsembleTooLarge, H_STEP, LatticePath, Point, V_STEP
 from .qpoly import LaurentPoly
@@ -70,6 +70,8 @@ def _check_enumerable(sites: int, N: int, slots: int = 1) -> None:
 def _positions(sites: int, n: int) -> np.ndarray:
     """Every n-subset of range(sites) as a row, ascending within a row, rows
     in lexicographic order."""
+    import numpy as np
+
     flat = itertools.chain.from_iterable(itertools.combinations(range(sites), n))
     count = math.comb(sites, n)
     return np.fromiter(flat, dtype=np.int64, count=count * n).reshape(count, n)
@@ -103,6 +105,8 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     sites = L + K + 1
     n = min(N, sites - N)
     _check_enumerable(sites, N, n)
+    import numpy as np
+
     # sum |x| over the minority sites; over the up sites it is the complement
     exponents = np.abs(_positions(sites, n) - L).sum(axis=1)
     if n < N:
@@ -171,6 +175,8 @@ class HamiltonianOracle:
         puts that neighbour C(sites-2-p, N-1-k) rows above (D. E. Knuth,
         TAOCP 4A, 7.2.1.3), so no lookup is needed.
         """
+        import numpy as np
+
         psi = np.asarray(psi, dtype=np.float64)
         block = psi.reshape(self.dimension, -1)
         out = np.zeros_like(block)
@@ -225,11 +231,15 @@ def ground_state_vector(oracle: HamiltonianOracle) -> np.ndarray:
     The scale keeps the vector off zero: at (L, K, N) = (0, 40, 40) and
     q0 = 0.3 every amplitude itself is below 1e-400 and rounds to 0.
     """
+    import numpy as np
+
     exponents = np.abs(oracle.positions - oracle.L).sum(axis=1)
     return float(oracle.q0) ** (exponents - exponents.min())
 
 
 def verify_ground_state(oracle: HamiltonianOracle) -> float:
     """Relative residual |H psi| / |psi| of the claimed ground state."""
+    import numpy as np
+
     psi = ground_state_vector(oracle)
     return float(np.linalg.norm(oracle.apply(psi)) / np.linalg.norm(psi))

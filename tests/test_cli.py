@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import spinpaths
 from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, PinnedInstance, Point,
                        SamplerState, sample_paths)
 from spinpaths import partition, sampler, spin
@@ -412,6 +417,45 @@ class TestCleanExits:
             assert sys.get_int_max_str_digits() == 4400
         finally:
             sys.set_int_max_str_digits(previous)
+
+
+# runs in a fresh interpreter: import the package, then call each subcommand
+# in turn and print whether numpy was loaded after each call
+NUMPY_PROBE = """
+import contextlib, io, sys
+import spinpaths, spinpaths.cli
+print("import", 0, "numpy" in sys.modules)
+for argv in [
+    ["partition", "--scheme", "interface", "--to", "2,1"],
+    ["closed-form", "-n", "2", "-m", "1"],
+    ["correlate", "--scheme", "interface", "--to", "1,1", "--through", "1,0", "--q", "1/2"],
+    ["profile", "-L", "1", "-K", "1", "-N", "1", "--q", "1/2"],
+    ["norm", "-L", "1", "-K", "1", "-N", "1"],
+    ["sample", "--scheme", "interface", "--to", "2,1", "--q", "1/2", "--n", "2"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = spinpaths.cli.main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyStaysUnloaded:
+    def test_exact_subcommands_leave_numpy_unloaded(self):
+        src = str(Path(spinpaths.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == [
+            "import 0 False", "partition 0 False", "closed-form 0 False",
+            "correlate 0 False", "profile 0 False", "norm 0 True", "sample 0 True"]
+
+    def test_no_module_level_numpy_import(self):
+        package = Path(spinpaths.__file__).parent
+        top_level = re.compile(r"^(import|from) numpy\b", re.MULTILINE)
+        for path in sorted(package.rglob("*.py")):
+            assert not top_level.search(path.read_text()), path
 
 
 class TestParseRational:

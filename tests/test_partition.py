@@ -459,11 +459,27 @@ class TestConvolution:
         assert pinned_via_convolution(PinnedInstance(K=2, L=2, N=0)) == LaurentPoly.one()
 
     def test_agrees_with_rep2_exhaustive(self):
-        for K in range(5):
-            for L in range(5):
+        for K in range(7):
+            for L in range(7):
                 for N in range(K + L + 2):
                     inst = PinnedInstance(K=K, L=L, N=N)
                     assert pinned_via_convolution(inst) == pinned_rep2(inst), (K, L, N)
+
+    def test_sums_only_nonzero_terms(self, monkeypatch):
+        # each term asks for its bracket's two closed forms, then Z_if(n, K - n)
+        calls = []
+        closed_form = partition.interface_closed_form
+        monkeypatch.setattr(partition, "interface_closed_form",
+                            lambda n, m: calls.append((n, m)) or closed_form(n, m))
+        for K in range(5):
+            for L in range(5):
+                for N in range(K + L + 2):
+                    calls.clear()
+                    pinned_via_convolution(PinnedInstance(K=K, L=L, N=N))
+                    assert len(calls) % 3 == 0
+                    for first, second, factor in zip(*[iter(calls)] * 3):
+                        assert min(factor) >= 0, (K, L, N, factor)
+                        assert max(min(first), min(second)) >= 0, (K, L, N, first, second)
 
 
 class TestRec1:
