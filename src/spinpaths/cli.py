@@ -5,7 +5,7 @@ sample, hamiltonian.  Exact values are emitted as JSON with decimal-string
 numerators/denominators/coefficients; any decimal rendering alongside is
 advisory only.  Exit codes: 0 success, 1 failed identity (in a report or
 an internal check), 2 usage error (including q = 0 where a weight or value
-has a negative power of q).
+has a negative power of q) or a request that ran out of memory.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dic
     outlives the call.  Per pinned instance, one rep1 forward table gives
     rep1 (its end cell) and both rec1 sides (the cells one step short), and
     the re-instanced rec1 readings take rep1 of the smaller instances from
-    earlier in the loop; rep2 serves the norm, pf, rec2 and every ave entry.
+    earlier in the loop; one rep2 table gives rep2 (its end cell), which
+    serves the norm, pf, rec2 and every ave entry.
     The translation identity reads Z(start, end) from one interface forward
     table per start in [-2, 2]^2 and every shifted Z(start - ref, end - ref)
     from one per shifted start in [0, 4]^2: 50 sweeps for 1 225 checks.
@@ -389,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ZeroToNegativePower) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except partition.InternalIdentityFailure as exc:
         print(f"error: internal identity failed: {exc}", file=sys.stderr)

@@ -346,21 +346,14 @@ def pinned_rep2(inst: PinnedInstance) -> LaurentPoly:
 
     Paths depart from the third-quadrant sphere of radius L+1, pass through
     the origin, and end on the first-quadrant sphere of radius K with N
-    horizontal steps in total.  Splitting at the origin factorizes a path
-    that spends a <= L+1 of them before the origin and N-a <= K after it
-    into a piece from (-a, a-L-1) and a piece to (N-a, K-N+a).  A weight
-    depends only on its bond, so every such piece is a cell of one backward
-    table to the origin or of one forward table from it.
+    horizontal steps in total.  A path's start on the diagonal i + j = -L-1
+    is fixed by its step word: it is (-a, a-L-1), with a the number of
+    horizontal steps among its first L+1.  Step t's head lies on the
+    diagonal t-L-1 wherever the path starts, and a bond weighs by its
+    diagonal alone, so sliding every path to start at (0, -L-1) keeps its
+    weight.  The ensemble is then exactly the paths of one rectangle.
     """
-    scheme = PinnedRep2()
-    K, L, N = inst.K, inst.L, inst.N
-    lo, hi = max(0, N - K), min(N, L + 1)
-    before = backward_table(scheme, Point(-hi, lo - L - 1), ORIGIN)
-    after = forward_table(scheme, ORIGIN, Point(N - lo, K - N + hi))
-    total = ZERO
-    for a in range(lo, hi + 1):
-        total = total + before[Point(-a, a - L - 1)] * after[Point(N - a, K - N + a)]
-    return total
+    return partition_dp(PinnedRep2(), Point(0, -inst.L - 1), Point(inst.N, inst.K - inst.N))
 
 
 def pinned_via_convolution(inst: PinnedInstance) -> LaurentPoly:

@@ -4,11 +4,11 @@ to path bijections, and a matrix-free Hamiltonian oracle.
 The combinatorial layer stays exact (amplitudes are monomials in q); the
 Hamiltonian oracle deliberately works in floating point, since its only
 job is to certify a residual below 1e-10.  It holds each basis state as
-the sorted sites of its down spins and applies H to a vector in numpy
-without forming the dimension x dimension matrix, so its memory is
-dimension x N integers (H. Q. Lin, Phys. Rev. B 42, 6561, 1990).  numpy is
-imported inside the functions that use it, so importing the package does
-not load it.
+the sorted sites of its minority spin species and applies H to a vector
+in numpy without forming the dimension x dimension matrix, so its memory
+is dimension x min(N, sites - N) integers (H. Q. Lin, Phys. Rev. B 42,
+6561, 1990).  numpy is imported inside the functions that use it, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -77,6 +77,21 @@ def _positions(sites: int, n: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=count * n).reshape(count, n)
 
 
+def _down_exponents(positions: np.ndarray, L: int, K: int, N: int) -> np.ndarray:
+    """Sum |x| over the down spins of each row of positions.
+
+    A row holds the sites 0..L+K (site x at x + L) of one spin species: the
+    N down spins, or, in a row of fewer, the up spins, whose sum is the
+    complement of the sum over every site.
+    """
+    import numpy as np
+
+    exponents = np.abs(positions - L).sum(axis=1)
+    if positions.shape[1] < N:
+        exponents = (L * (L + 1) + K * (K + 1)) // 2 - exponents
+    return exponents
+
+
 def sector_configs(L: int, K: int, N: int) -> list[SpinConfig]:
     """All configurations with N down spins, in lexicographic order of the
     occupation word read from site -L to K (the basis order of the oracle)."""
@@ -107,11 +122,8 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     _check_enumerable(sites, N, n)
     import numpy as np
 
-    # sum |x| over the minority sites; over the up sites it is the complement
-    exponents = np.abs(_positions(sites, n) - L).sum(axis=1)
-    if n < N:
-        exponents = (L * (L + 1) + K * (K + 1)) // 2 - exponents
-    values, counts = np.unique(exponents, return_counts=True)
+    values, counts = np.unique(_down_exponents(_positions(sites, n), L, K, N),
+                               return_counts=True)
     return LaurentPoly({2 * e: c for e, c in zip(values.tolist(), counts.tolist())})
 
 
@@ -151,9 +163,11 @@ def config_to_path_rep2(config: SpinConfig) -> LatticePath:
 class HamiltonianOracle:
     """Sector Hamiltonian at a numeric q, applied without forming its matrix.
 
-    Row r of `positions` lists the down-spin sites 0..sites-1 (site x sits
-    at x + L) of basis state r; rows run in lexicographic order of the
-    occupation word read from site -L, as `sector_configs` lists them.
+    Row r of `positions` lists the sites 0..sites-1 (site x sits at x + L)
+    of the minority spin species of basis state r: its N down spins when
+    2N <= sites, else its sites - N up spins.  Rows run in lexicographic
+    order of the occupation word read from site -L, as `sector_configs`
+    lists them.
     """
 
     L: int
@@ -170,30 +184,38 @@ class HamiltonianOracle:
         """H @ psi for a vector or a dimension x k block of column vectors.
 
         Each bond term acts on a (down, up) / (up, down) pair only, so every
-        off-diagonal pair is met once, from the state whose down spin k at
-        site p may hop to an empty p+1.  The combinatorial number system
-        puts that neighbour C(sites-2-p, N-1-k) rows above (D. E. Knuth,
-        TAOCP 4A, 7.2.1.3), so no lookup is needed.
+        off-diagonal pair is met once, from the state whose held spin k at
+        site p may hop to a p+1 held by the other species.  The
+        combinatorial number system puts that neighbour C(sites-2-p, n-1-k)
+        rows away, n the held spins per row (D. E. Knuth, TAOCP 4A,
+        7.2.1.3), so no lookup is needed: above for a down spin, whose hop
+        makes the word smaller, and below for an up spin, whose hop makes
+        it larger.
         """
         import numpy as np
 
         psi = np.asarray(psi, dtype=np.float64)
         block = psi.reshape(self.dimension, -1)
         out = np.zeros_like(block)
-        sites, N = self.L + self.K + 1, self.N
+        sites, n = self.L + self.K + 1, self.positions.shape[1]
         # per bond p -> p+1 (site x = p - L); bonds left of the origin use 1/q0
         qx = np.where(np.arange(sites - 1) >= self.L, self.q0, 1.0 / self.q0)
         c = 1.0 / (qx + 1.0 / qx)
         down_up, up_down = c * qx, c / qx
-        for k in range(N):
+        direction = -1
+        if n < self.N:
+            # held up spins: the hopping state is (up, down) and its neighbour
+            # (down, up)
+            down_up, up_down, direction = up_down, down_up, 1
+        for k in range(n):
             p = self.positions[:, k]
-            after = self.positions[:, k + 1] if k + 1 < N else sites
+            after = self.positions[:, k + 1] if k + 1 < n else sites
             cols = np.flatnonzero(after > p + 1)
-            # spin k lies in [k, sites - N + k]; it can hop only below the top
-            shift = np.array([math.comb(sites - 2 - s, N - 1 - k)
-                              for s in range(k, sites - N + k)], dtype=np.int64)
+            # spin k lies in [k, sites - n + k]; it can hop only below the top
+            shift = np.array([math.comb(sites - 2 - s, n - 1 - k)
+                              for s in range(k, sites - n + k)], dtype=np.int64)
             hop = p[cols]
-            rows = cols - shift[hop - k]
+            rows = cols + direction * shift[hop - k]
             out[cols] += down_up[hop, None] * block[cols] - c[hop, None] * block[rows]
             out[rows] += up_down[hop, None] * block[rows] - c[hop, None] * block[cols]
         return out.reshape(psi.shape)
@@ -219,9 +241,13 @@ def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
     dim = math.comb(sites, N)
     if dim > SECTOR_DIMENSION_LIMIT:
         raise EnsembleTooLarge(f"sector dimension {dim} exceeds {SECTOR_DIMENSION_LIMIT}")
-    # combinations run opposite to the word order: a down spin further left
-    # makes a larger word
-    return HamiltonianOracle(L=L, K=K, N=N, q0=q0, positions=_positions(sites, N)[::-1])
+    # down-spin combinations run opposite to the word order, since a down spin
+    # further left makes a larger word; up-spin combinations run with it
+    if 2 * N <= sites:
+        positions = _positions(sites, N)[::-1]
+    else:
+        positions = _positions(sites, sites - N)
+    return HamiltonianOracle(L=L, K=K, N=N, q0=q0, positions=positions)
 
 
 def ground_state_vector(oracle: HamiltonianOracle) -> np.ndarray:
@@ -231,9 +257,7 @@ def ground_state_vector(oracle: HamiltonianOracle) -> np.ndarray:
     The scale keeps the vector off zero: at (L, K, N) = (0, 40, 40) and
     q0 = 0.3 every amplitude itself is below 1e-400 and rounds to 0.
     """
-    import numpy as np
-
-    exponents = np.abs(oracle.positions - oracle.L).sum(axis=1)
+    exponents = _down_exponents(oracle.positions, oracle.L, oracle.K, oracle.N)
     return float(oracle.q0) ** (exponents - exponents.min())
 
 

@@ -37,8 +37,13 @@ class WeightScheme:
     def path_weight(self, path: LatticePath) -> LaurentPoly:
         """Product of bond weights along the path; the empty path weighs 1."""
         w = ONE
-        for b in path.bonds():
-            w = w * self.bond_weight(b.tail.i, b.tail.j, b.orientation)
+        i, j = path.start
+        for s in path.steps:
+            w = w * self.bond_weight(i, j, s)
+            if s == H_STEP:
+                i += 1
+            else:
+                j += 1
         return w
 
 

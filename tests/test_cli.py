@@ -258,9 +258,9 @@ class TestIdentitySuite:
         identity_suite(1, 1, [Fraction(1, 2)])
         instances = [PinnedInstance(K=K, L=L, N=N)
                      for K in range(2) for L in range(2) for N in range(K + L + 2)]
-        # 50 translation tables, then per instance one rep1 and two rep2 tables;
+        # 50 translation tables, then per instance one rep1 and one rep2 table;
         # the slow path sweeps over 1 450 tables here
-        assert len(calls) <= 50 + 3 * len(instances)
+        assert len(calls) <= 50 + 2 * len(instances)
 
 
 class TestVerifyCommand:
@@ -382,6 +382,15 @@ class TestCleanExits:
                              "--q", "1/2")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: internal identity failed")
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(partition, "partition_dp", exhausted)
+        code, out, err = run(capsys, "partition", "--scheme", "rep2", "--to", "2000,1")
+        assert code == 2 and out == ""
+        assert err == "error: out of memory\n"
 
     @pytest.mark.parametrize("command", ["norm", "hamiltonian"])
     def test_negative_extent(self, capsys, command):

@@ -419,8 +419,8 @@ class TestPinnedRepresentations:
                         partition_dp(scheme, ORIGIN, Point(N - a, K - N + a))
             assert pinned_rep2(PinnedInstance(K=K, L=L, N=N)) == want, (K, L, N)
 
-    def test_rep2_sweeps_two_tables(self, monkeypatch):
-        # one backward table to the origin and one forward table from it
+    def test_rep2_sweeps_one_table(self, monkeypatch):
+        # one forward table from the sphere of radius L+1
         calls = []
         real = partition._sweep
 
@@ -433,7 +433,7 @@ class TestPinnedRepresentations:
                      PinnedInstance(K=2, L=4, N=7)):
             calls.clear()
             pinned_rep2(inst)
-            assert len(calls) == 2, inst
+            assert len(calls) == 1, inst
 
     def test_rep1_equals_rep2_exhaustive(self):
         for K in range(5):

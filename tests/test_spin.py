@@ -224,6 +224,18 @@ class TestHamiltonian:
         assert oracle.dimension == 3432 and residual <= 1e-10
         assert peak < 5 * 2**20  # the dense matrix alone is 94 MB
 
+    def test_holds_the_minority_species(self):
+        # 4 095 down spins and one up spin: rows of the down sites alone take 128 MB
+        tracemalloc.start()
+        try:
+            oracle = build_hamiltonian(0, 4095, 4095, 0.5)
+            residual = verify_ground_state(oracle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert oracle.positions.shape == (4096, 1) and residual <= 1e-10
+        assert peak < 50 * 2**20
+
     def test_residual_where_every_amplitude_underflows(self):
         # q0^780 < 1e-400: unscaled, the state vector is all zeros and the
         # residual 0/0 is NaN
