@@ -17,6 +17,7 @@ from typing import Callable
 
 from .lattice import H_STEP, Point, V_STEP, enumerate_paths
 from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, numerator, pack, unpack
+from .spin import norm_squared
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
 ORIGIN = Point(0, 0)
@@ -466,34 +467,21 @@ def verify_average_representation(inst: PinnedInstance, q0) -> dict:
     Left side: the pinned partition function (second representation).
     Right side: the interface partition function on N+M sites times the
     canonical expectation of q^(-2(K+1)*s), where s counts the horizontal
-    steps among the last L+1 (the steps that map to sites -L..0).  Both
-    sides are exact rationals; the report carries their exact ratio.
+    steps among the last L+1 (the steps that map to sites -L..0).  That is
+    e_N of q0^(2|x|) over the sites x in [-L, K], the squared norm at q0.
+    Both sides are exact rationals; the report carries their exact ratio.
     """
-    return _average_report(inst, q0, pinned_rep2(inst))
+    return _average_report(inst, q0, pinned_rep2(inst), norm_squared(inst.L, inst.K, inst.N))
 
 
-def _average_report(inst: PinnedInstance, q0, rep2: LaurentPoly) -> dict:
-    """verify_average_representation's report, given rep2 = pinned_rep2(inst)."""
+def _average_report(inst: PinnedInstance, q0, rep2: LaurentPoly, norm: LaurentPoly) -> dict:
+    """verify_average_representation's report, given pinned_rep2 and norm_squared."""
     q0 = Fraction(q0)
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
     lhs = rep2.evaluate(q0)
     z_if = interface_closed_form(inst.N, inst.M).evaluate(q0)
-
-    # Z_if times the expectation sums, over the N-subsets of the sites
-    # x = 1..N+M, the product of y_x = q0^(2x) for x <= K and q0^(2(x-K-1))
-    # after: the elementary symmetric polynomial e_N of the y_x, built site
-    # by site.  With q0 = p/r every y_x times r^(2 top), top = max(K, L),
-    # is an int, so e_N reads as an int over r^(2 top N)
-    p, r = q0.numerator, q0.denominator
-    top = max(inst.K, inst.L)
-    e = [1] + [0] * inst.N   # e[n] = e_n of the scaled y of the sites so far
-    for x in range(1, inst.N + inst.M + 1):
-        k = x if x <= inst.K else x - inst.K - 1
-        y = p ** (2 * k) * r ** (2 * (top - k))
-        for n in range(min(x, inst.N), 0, -1):
-            e[n] += e[n - 1] * y
-    rhs = Fraction(e[inst.N], r ** (2 * top * inst.N))
+    rhs = norm.evaluate(q0)
     holds = lhs == rhs
     return {
         "identity": "ave",

@@ -1,5 +1,6 @@
-"""The quantum side: spin configurations, ground-state amplitudes, the spin
-to path bijections, and a matrix-free Hamiltonian oracle.
+"""The quantum side: spin configurations, ground-state amplitudes, the
+squared norm, the spin to path bijections, and a matrix-free Hamiltonian
+oracle.
 
 The combinatorial layer stays exact (amplitudes are monomials in q); the
 Hamiltonian oracle deliberately works in floating point, since its only
@@ -16,11 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .lattice import EnsembleTooLarge, H_STEP, LatticePath, Point, V_STEP
 from .qpoly import LaurentPoly
 
 CONFIG_ENUMERATION_LIMIT = 10**6
+NORM_ADDITION_LIMIT = 10**8
 SECTOR_DIMENSION_LIMIT = 4096
 
 
@@ -56,17 +59,6 @@ class SpinConfig:
         return cls(L, K, tuple(word))
 
 
-def _check_enumerable(sites: int, N: int, slots: int = 1) -> None:
-    """Refuse a sector whose C(sites, N) configurations, at `slots` items
-    built per configuration, come to more than CONFIG_ENUMERATION_LIMIT."""
-    if not 0 <= N <= sites:
-        raise ValueError(f"N must lie in [0, {sites}]")
-    count = math.comb(sites, N)
-    if count * slots > CONFIG_ENUMERATION_LIMIT:
-        per = f" of {slots} slots" if slots > 1 else ""
-        raise EnsembleTooLarge(f"{count} configurations{per} exceeds {CONFIG_ENUMERATION_LIMIT}")
-
-
 def _positions(sites: int, n: int) -> np.ndarray:
     """Every n-subset of range(sites) as a row, ascending within a row, rows
     in lexicographic order."""
@@ -96,7 +88,12 @@ def sector_configs(L: int, K: int, N: int) -> list[SpinConfig]:
     """All configurations with N down spins, in lexicographic order of the
     occupation word read from site -L to K (the basis order of the oracle)."""
     sites = L + K + 1
-    _check_enumerable(sites, N, sites)
+    if not 0 <= N <= sites:
+        raise ValueError(f"N must lie in [0, {sites}]")
+    count = math.comb(sites, N)
+    if count * sites > CONFIG_ENUMERATION_LIMIT:
+        raise EnsembleTooLarge(f"{count} configurations of {sites} slots exceeds "
+                               f"{CONFIG_ENUMERATION_LIMIT}")
     return [SpinConfig.from_down_sites(L, K, downs)
             for downs in (_positions(sites, N)[::-1] - L).tolist()]
 
@@ -108,23 +105,36 @@ def amplitude(config: SpinConfig) -> LaurentPoly:
 
 
 def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
-    """Squared norm of the sector-N ground state, by brute-force summation of
-    squared amplitudes over every configuration (the quantum-side oracle).
+    """Squared norm of the sector-N ground state: e_N of y_x = q^(2|x|) over
+    the sites x in [-L, K] (I. G. Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I §2), built in one pass over the sites in int counts.
 
-    Each configuration is enumerated by the sites of its minority spin
-    species, so a chain of 10^5 sites with one spin of either kind costs
-    10^5 short rows, not 10^5 words of 10^5 sites.
+    The sites come in ascending |x|, and e[k][d] counts the k-subsets of
+    those so far whose |x| sum to d, for k up to n = min(N, sites - N): held
+    up spins leave the down spins the rest of the sum, so one spin of either
+    kind on 10^5 sites is one list of 10^5 counts.
     """
     if L < 0 or K < 0:
         raise ValueError("K and L must be nonnegative")
     sites = L + K + 1
+    if not 0 <= N <= sites:
+        raise ValueError(f"N must lie in [0, {sites}]")
     n = min(N, sites - N)
-    _check_enumerable(sites, N, n)
-    import numpy as np
-
-    values, counts = np.unique(_down_exponents(_positions(sites, n), L, K, N),
-                               return_counts=True)
-    return LaurentPoly({2 * e: c for e, c in zip(values.tolist(), counts.tolist())})
+    # e[k - 1] spans at most (k - 1) max(K, L) + 1 exponents
+    additions = sites * n * ((n - 1) * max(K, L) + 1)
+    if additions > NORM_ADDITION_LIMIT:
+        raise EnsembleTooLarge(f"{additions} additions exceeds {NORM_ADDITION_LIMIT}")
+    e = [[1]] + [[] for _ in range(n)]
+    for seen, d in enumerate(sorted(abs(x) for x in range(-L, K + 1))):
+        # e[k] += z^d e[k - 1], k from the top down; as d is the largest |x|
+        # so far, the shifted e[k - 1] ends where the new e[k] does
+        for k in range(min(seen + 1, n), 0, -1):
+            low, high = e[k - 1], e[k]
+            top = d + len(low)
+            high += [0] * (top - len(high))
+            high[d:top] = map(add, high[d:top], low)
+    total = (L * (L + 1) + K * (K + 1)) // 2
+    return LaurentPoly({2 * (total - d if n < N else d): c for d, c in enumerate(e[n])})
 
 
 # -- spin <-> path bijections -------------------------------------------------

@@ -65,16 +65,22 @@ class TestNormCommand:
         assert code == 0
         assert json.loads(out)["terms"] == {str(2 * x): "1" for x in range(100_000)}
 
-    def test_limit_counts_minority_slots(self, capsys, monkeypatch):
-        # 705 432 configurations pass a count-only guard, but their rows take
-        # 705 432 x 11 cells
-        def refuse(*args):
-            raise AssertionError("enumeration started past the guard")
+    def test_wide_balanced_sector(self, capsys):
+        # 705 432 configurations, which the norm never enumerates
+        code, out, _ = run(capsys, "norm", "-K", "21", "-L", "0", "-N", "11")
+        assert code == 0
+        assert LaurentPoly.from_json_obj(json.loads(out)["terms"]) == \
+            partition.pinned_rep1(PinnedInstance(K=21, L=0, N=11))
 
-        monkeypatch.setattr(spin, "_positions", refuse)
-        code, out, err = run(capsys, "norm", "-K", "21", "-L", "0", "-N", "11")
+    def test_limit_counts_additions(self, capsys, monkeypatch):
+        # 10^5 sites x 2 held spins x up to 10^5 + 1 exponents per addition
+        def refuse(*args):
+            raise AssertionError("the pass started past the guard")
+
+        monkeypatch.setattr(spin, "add", refuse)
+        code, out, err = run(capsys, "norm", "-K", "99999", "-L", "0", "-N", "2")
         assert (code, out) == (2, "")
-        assert err == "error: 705432 configurations of 11 slots exceeds 1000000\n"
+        assert err == "error: 20000000000 additions exceeds 100000000\n"
 
 
 class TestCorrelateCommand:
@@ -278,16 +284,23 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["all_hold"] is True
 
+    def test_grid_past_enumeration_passes(self, capsys):
+        # sectors up to C(21, 10) = 352 716 configurations, none enumerated
+        code, out, _ = run(capsys, "verify", "--max-K", "10", "--max-L", "10")
+        assert code == 0
+        assert json.loads(out)["all_hold"] is True
+
     def test_injected_failure_exits_one(self, capsys, monkeypatch):
-        real = partition.rec2_rhs
-        monkeypatch.setattr(partition, "rec2_rhs", lambda inst: real(inst) + 1)
+        real = partition.pinned_via_convolution
+        monkeypatch.setattr(partition, "pinned_via_convolution", lambda inst: real(inst) + 1)
         code, out, _ = run(capsys, "verify", "--max-K", "0", "--max-L", "0")
         assert code == 1
         payload = json.loads(out)
         assert payload["all_hold"] is False
         failures = payload["failures"]
-        assert {e["identity"] for e in failures} == {"rec2"}
-        assert len(failures) == payload["summary"]["rec2"]["checked"]
+        assert {e["identity"] for e in failures} == {"pf", "rec2"}
+        summary = payload["summary"]
+        assert len(failures) == summary["pf"]["checked"] + summary["rec2"]["checked"]
         for e in failures:
             lhs = LaurentPoly.from_json_obj(e["lhs"]["terms"])
             rhs = LaurentPoly.from_json_obj(e["rhs"]["terms"])
@@ -458,7 +471,7 @@ class TestNumpyStaysUnloaded:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines() == [
             "import 0 False", "partition 0 False", "closed-form 0 False",
-            "correlate 0 False", "profile 0 False", "norm 0 True", "sample 0 True"]
+            "correlate 0 False", "profile 0 False", "norm 0 False", "sample 0 True"]
 
     def test_no_module_level_numpy_import(self):
         package = Path(spinpaths.__file__).parent

@@ -624,9 +624,8 @@ class TestAverageRepresentation:
         K, L = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
         inst = PinnedInstance(K=K, L=L, N=data.draw(st.integers(0, K + L + 1)))
         q0 = data.draw(open_unit_rationals)
-        rep2 = pinned_rep2(inst)
-        assert partition._average_report(inst, q0, rep2) == \
-            average_report_by_subsets(inst, q0, rep2)
+        assert verify_average_representation(inst, q0) == \
+            average_report_by_subsets(inst, q0, pinned_rep2(inst))
 
     def test_enumerates_nothing(self):
         # C(61, 31), about 2.3e17 subsets of the interface sites: no sum over

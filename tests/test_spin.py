@@ -3,11 +3,11 @@
 import math
 import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from spinpaths import (EnsembleTooLarge, LaurentPoly, PinnedRep1, PinnedRep2,
                        Point, SpinConfig, amplitude, build_hamiltonian,
@@ -95,17 +95,23 @@ class TestNormSquared:
         total = 99_998 * 99_999 // 2
         assert nsq == LaurentPoly({2 * (total - x): 1 for x in range(99_999)})
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_per_configuration_sum(self, data):
-        # every sector of at most 10 sites
-        L = data.draw(st.integers(0, 9))
-        K = data.draw(st.integers(0, 9 - L))
-        N = data.draw(st.integers(0, L + K + 1))
-        total = LaurentPoly.zero()
-        for config in sector_configs(L, K, N):
-            total = total + mono(2 * amplitude(config).degree())
-        assert norm_squared(L, K, N) == total
+    def test_matches_per_configuration_sum(self):
+        # every sector with K, L <= 6, and every sector of at most 10 sites
+        chains = [(L, K) for L in range(10) for K in range(10)
+                  if max(L, K) <= 6 or L + K <= 9]
+        for L, K in chains:
+            for N in range(L + K + 2):
+                exponents = Counter(2 * amplitude(config).degree()
+                                    for config in sector_configs(L, K, N))
+                assert norm_squared(L, K, N) == LaurentPoly(exponents), (L, K, N)
+
+    def test_enumerates_nothing(self, monkeypatch):
+        # 705 432 configurations
+        def refuse(*args):
+            raise AssertionError("configurations enumerated")
+
+        monkeypatch.setattr(spin, "_positions", refuse)
+        assert norm_squared(0, 21, 11) == pinned_rep1(PinnedInstance(K=21, L=0, N=11))
 
     def test_invalid_sector(self):
         with pytest.raises(ValueError, match="N must lie"):
