@@ -4,8 +4,12 @@ Step probabilities come from the backward partition table, so a sampled
 path is distributed exactly per the measure (up to the one double
 conversion at the uniform-draw comparison, bounded by 2^-52 per step and
 negligible against Monte Carlo error).  The generator is counter-based
-(Philox), so derived streams are provably disjoint.  numpy is imported
-inside the functions that use it, so importing the package does not load it.
+(Philox), so derived streams are provably disjoint and any draw is reached by
+setting the counter: step t of row g reads draw (g // BLOCK)·BLOCK·T +
+t·BLOCK + g % BLOCK, T being the step count.  So `BLOCK` is part of the
+stream; fixed-seed output changed once, when this layout replaced row-major.
+numpy is imported inside the functions that use it, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from .partition import InternalIdentityFailure, backward_table
 from .weights import WeightScheme
 
 
-# rows drawn per pass of the batch kernel: bounds the uniform block it holds
-# and the path list the CLI holds, whatever the number of samples
+# rows per chunk of the stream layout and per pass of the walk: bounds the
+# uniforms the walk holds and the path list the CLI holds, whatever the number
+# of samples.  A multiple of 4, so every chunk starts a Philox counter value
 BLOCK = 4096
 
 
@@ -30,7 +35,8 @@ class SamplerState:
 
     Holds the per-point horizontal-step probabilities by anti-diagonal
     (formed as exact rationals from the backward table, converted to double
-    once) and the Philox stream.
+    once), the Philox stream and `rows`, the number of rows drawn from it.
+    `_walk` is the only reader of `rng`.
     """
 
     def __init__(self, scheme: WeightScheme, start: Point, end: Point, q0, seed: int):
@@ -71,7 +77,7 @@ class SamplerState:
                         f"step probabilities at {Point(i, j)} sum to {Fraction(h + v, z_here)}")
                 diag[a + b, a] = h / z_here   # int true division rounds correctly
         self.diag = diag
-        self.rng = np.random.Generator(np.random.Philox(key=seed))
+        self._open_stream(np.random.Generator(np.random.Philox(key=seed)))
 
     def substream(self, index: int) -> "SamplerState":
         """A sampler over the same ensemble with a disjoint random stream.
@@ -79,48 +85,81 @@ class SamplerState:
         Stream index k jumps the Philox counter k+1 times (2^128 draws per
         jump), so workers never overlap each other or the base stream.
         """
+        if index < 0:
+            raise ValueError(f"substream index {index} is negative")
         import numpy as np
 
         clone = copy.copy(self)
-        clone.rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(index + 1))
+        clone._open_stream(np.random.Generator(np.random.Philox(key=self.seed).jumped(index + 1)))
         return clone
+
+    def _open_stream(self, rng):
+        """Start at row 0 of `rng`'s stream, keeping its state in ints as the
+        template `_read` sets the counter in."""
+        self.rng = rng
+        self.rows = 0
+        self._template = rng.bit_generator.state
+        self._template["state"] = {k: v.tolist() for k, v in self._template["state"].items()}
+        self._template["buffer"] = self._template["buffer"].tolist()
+        self._at = 0   # the draw index the generator reads next
+
+
+def _read(state: SamplerState, index: int, out: np.ndarray) -> None:
+    """Fill `out` with the stream's uniforms from draw `index` on."""
+    if index != state._at:
+        # Philox steps the counter before each four draws; a stream starts with
+        # the low word at 0 (a jump moves the third), so only that word moves
+        state._template["state"]["counter"][0] = index // 4
+        state.rng.bit_generator.state = state._template
+        if index % 4:
+            state.rng.bit_generator.random_raw(index % 4)
+    state.rng.random(out=out)
+    state._at = index + out.size
 
 
 def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None = None):
-    """Walk `samples` paths `steps` steps, one block of `BLOCK` rows at a time,
-    and yield each block's H counts.
+    """Walk the state's next `samples` rows `steps` steps, one chunk of `BLOCK`
+    rows at a time, and yield each chunk's H counts.
 
-    The only reader of the stream: every row draws a uniform for each of
-    the rectangle's steps, walked or not, so a row's uniforms do not depend
-    on `steps` or on the blocking.  A row with `a` H steps after `t` steps
-    sits at (a, t - a), so its count is all the walk tracks.  The table
-    forces the steps on the far edges by itself: its probability is exactly
-    0.0 where a = di (h = 0) and exactly 1.0 where b = dj (v = 0, so h = Z),
-    and a cell with Z = 0 is entered with probability exactly 0.  With
-    `out`, step t of row r is written to out[r, t] (True = H).
+    The only reader of the stream.  Row g reads the uniform of step t at its
+    (row, step) address, so its steps depend on neither `steps` nor the calls'
+    split, and only walked steps are drawn.  A whole chunk's steps lie
+    together, so it sets the counter once; a part of a chunk, once a step.
+    A row with `a` H steps after `t` steps sits at (a, t - a), so its count
+    is all the walk tracks.  The table forces the steps on the far edges by
+    itself: its probability is exactly 0.0 where a = di (h = 0) and exactly
+    1.0 where b = dj (v = 0, so h = Z), and a cell with Z = 0 is entered with
+    probability exactly 0.  With `out`, step t of the walk's r-th row is
+    written to out[r, t] (True = H).
     """
     import numpy as np
 
     total = state.diag.shape[0]
     diag = list(state.diag)
-    buffer = np.empty((min(BLOCK, samples), total))   # refilled in place, block by block
-    for lo in range(0, samples, BLOCK):
-        n = min(BLOCK, samples - lo)
-        uniform = state.rng.random(out=buffer[:n])
+    buffer = np.empty(min(BLOCK, samples))   # one step's uniforms, refilled in place
+    first = g = state.rows
+    stop = state.rows = first + samples
+    while g < stop:
+        row = g % BLOCK
+        n = min(BLOCK - row, stop - g)
+        index = (g - row) * total + row   # the draw of row g's first step
+        uniform = buffer[:n]
         a = np.zeros(n, dtype=np.intp)
         for t in range(steps):
-            take_h = uniform[:, t] < diag[t][a]
+            _read(state, index + t * BLOCK, uniform)
+            take_h = uniform < diag[t][a]
             if out is not None:
-                out[lo:lo + n, t] = take_h
+                out[g - first:g - first + n, t] = take_h
             a += take_h
         yield a
+        g += n
 
 
 def sample_step_matrix(state: SamplerState, samples: int) -> np.ndarray:
     """Batch draw: samples x total_steps boolean matrix, True = H.
 
-    Row r is the step word of the r-th path.  Every step takes one uniform
-    and the rows take them in turn, so the stream a path uses does not
+    Row r is the step word of the state's next path.  Each step of a row
+    reads the uniform its (row, step) address gives, so the paths do not
     depend on how the draws are batched.  The rows walk the step table by
     anti-diagonal (`state.diag`), tracking only each row's H count.
     """
@@ -161,10 +200,11 @@ def estimate_crossing(state: SamplerState, point: Point, samples: int) -> tuple[
 
     A path crosses `point` when it has taken point.i - start.i H steps after
     `radius` = (point - start).i + (point - start).j steps, so the walk stops
-    at the radius, builds no step matrix and counts the hits block by block.
-    It takes the same uniforms as `sample_step_matrix(state, samples)`, so
-    the stream advances alike; a radius outside [0, total steps] draws
-    nothing.
+    at the radius, builds no step matrix and counts the hits chunk by chunk.
+    Its rows are those `sample_step_matrix(state, samples)` would draw, cut at
+    the radius: it draws samples x radius uniforms and advances `state.rows`
+    by `samples`, so the draws after it are alike too.  A radius outside
+    [0, total steps] draws nothing and leaves `state.rows` as it was.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

@@ -25,33 +25,43 @@ def make_state(end=Point(1, 1), scheme=None, seed=11, q0=HALF):
     return SamplerState(scheme or InterfaceXXZ(), ORIGIN, end, q0, seed)
 
 
-def masked_step_matrix(state, samples):
-    """The batch kernel with explicit boundary masks over (a, b) coordinates:
+def layout_uniforms(seed, first, samples, total, substream=None):
+    """uniforms[r, t] for step t of row g = first + r, read from a fresh
+    Philox stream (jumped k + 1 times for substream k) at the draw
+    (g // BLOCK)·BLOCK·total + t·BLOCK + g % BLOCK."""
+    g = np.arange(first, first + samples)[:, None]
+    index = (g // BLOCK) * BLOCK * total + np.arange(total) * BLOCK + g % BLOCK
+    bit_generator = np.random.Philox(key=seed)
+    if substream is not None:
+        bit_generator = bit_generator.jumped(substream + 1)
+    return np.random.Generator(bit_generator).random(int(index.max(initial=-1)) + 1)[index]
+
+
+def masked_step_matrix(state, samples, first=0):
+    """The batch kernel with explicit boundary masks over (a, b) coordinates,
+    reading rows first .. first + samples - 1 by their (row, step) address:
     the slow reference for `sample_step_matrix`."""
     di = state.end.i - state.start.i
     dj = state.end.j - state.start.j
+    uniform = layout_uniforms(state.seed, first, samples, di + dj)
     out = np.empty((samples, di + dj), dtype=bool)
-    for lo in range(0, samples, BLOCK):
-        block = out[lo:lo + BLOCK]
-        uniform = state.rng.random(block.shape)
-        ai = np.zeros(len(block), dtype=np.intp)
-        bj = np.zeros(len(block), dtype=np.intp)
-        for t in range(di + dj):
-            take_h = uniform[:, t] < state.diag[ai + bj, ai]
-            take_h[ai == di] = False
-            take_h[bj == dj] = True
-            block[:, t] = take_h
-            ai += take_h
-            bj += ~take_h
+    ai = np.zeros(samples, dtype=np.intp)
+    bj = np.zeros(samples, dtype=np.intp)
+    for t in range(di + dj):
+        take_h = uniform[:, t] < state.diag[ai + bj, ai]
+        take_h[ai == di] = False
+        take_h[bj == dj] = True
+        out[:, t] = take_h
+        ai += take_h
+        bj += ~take_h
     return out
 
 
 def assert_kernels_agree(scheme, start, end, q0, seed, samples):
-    fast = SamplerState(scheme, start, end, q0, seed)
-    slow = SamplerState(scheme, start, end, q0, seed)
-    assert np.array_equal(sample_step_matrix(fast, samples), masked_step_matrix(slow, samples))
+    state = SamplerState(scheme, start, end, q0, seed)
+    assert np.array_equal(sample_step_matrix(state, samples), masked_step_matrix(state, samples))
     # the streams stay in step afterwards
-    assert np.array_equal(sample_step_matrix(fast, 3), masked_step_matrix(slow, 3))
+    assert np.array_equal(sample_step_matrix(state, 3), masked_step_matrix(state, 3, samples))
 
 
 def draw_ensemble(data):
@@ -88,6 +98,31 @@ def test_flat_kernel_matches_masked_reference(data):
 
 def test_flat_kernel_matches_masked_reference_over_blocks():
     assert_kernels_agree(InterfaceXXZ(), ORIGIN, Point(3, 4), Fraction(7, 13), 3, BLOCK + 5)
+
+
+@pytest.mark.parametrize("seed, substream, drawn, count, g, t", [
+    (3, None, 0, 1, 0, 0),                         # a single row
+    (3, None, 0, BLOCK, 2, 6),                     # a whole chunk, its last step
+    (5, 0, 10, 5, 13, 3),                          # a part of a chunk, off a counter value
+    (5, 2, BLOCK - 3, 6, BLOCK + 1, 4),            # a call across a chunk boundary
+    (8, None, BLOCK, BLOCK, BLOCK + 7, 2),         # the whole second chunk
+    (8, 1, 2 * BLOCK + 1, 1, 2 * BLOCK + 1, 5),    # a single row in the third chunk
+])
+def test_walk_reads_the_layout_address(seed, substream, drawn, count, g, t):
+    """Step t of row g reads the uniform at its (row, step) address."""
+    u = layout_uniforms(seed, g, 1, 14, substream)[0, t]
+    # step t is H exactly when its uniform lies below the table's value, so a
+    # table row of u gives V and one of the next double above u gives H, and
+    # no other uniform gives both.  On the 7x7 square no walk meets an edge
+    # before step 7, so any value may stand in the rows before it
+    for threshold, take_h in ((u, False), (np.nextafter(u, 1.0), True)):
+        state = make_state(end=Point(7, 7), seed=seed)
+        if substream is not None:
+            state = state.substream(substream)
+        state.diag = state.diag.copy()
+        state.diag[t] = threshold
+        sample_step_matrix(state, drawn)
+        assert sample_step_matrix(state, count)[g - drawn, t] == take_h
 
 
 class TestSamplePath:
@@ -135,6 +170,12 @@ class TestSamplePath:
         seq_base = [sample_path(base).steps for _ in range(30)]
         seq_other = [sample_path(other).steps for _ in range(30)]
         assert seq_base != seq_other
+
+    @pytest.mark.parametrize("index", [-1, -2])
+    def test_negative_substream(self, index):
+        # -1 would jump 0 times and hand back the base stream itself
+        with pytest.raises(ValueError, match=f"substream index {index} "):
+            make_state().substream(index)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_out_of_range(self, seed):
@@ -210,6 +251,63 @@ def test_estimate_matches_step_matrix_reference(data):
 def test_estimate_matches_step_matrix_reference_over_blocks():
     assert_estimates_agree(InterfaceXXZ(), ORIGIN, Point(3, 4), Fraction(7, 13), 3,
                            Point(2, 1), 2 * BLOCK + 5)
+
+
+class CountingGenerator:
+    """Passes every call on to a generator, counting the uniforms drawn."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def random(self, *args, **kwargs):
+        values = self.rng.random(*args, **kwargs)
+        self.drawn += values.size
+        return values
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_estimate_draws_only_what_it_reads():
+    # T = 7; the estimates start 3 rows short of a chunk boundary and cross it
+    state = make_state(end=Point(3, 4), seed=2)
+    sample_step_matrix(state, BLOCK - 3)
+    state.rng = counting = CountingGenerator(state.rng)
+    samples = BLOCK + 10
+    for point, radius in ((Point(2, 1), 3), (ORIGIN, 0), (Point(5, 5), None), (Point(3, 4), 7),
+                          (Point(4, -1), 3), (Point(-1, 0), None), (Point(0, 1), 1)):
+        rows, drawn = state.rows, counting.drawn
+        estimate_crossing(state, point, samples)
+        if radius is None:   # outside [0, T]: nothing drawn, no row taken
+            assert (state.rows, counting.drawn) == (rows, drawn), point
+        else:
+            assert (state.rows, counting.drawn) == (rows + samples, drawn + samples * radius), point
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_split_into_calls_gives_the_same_rows(data):
+    end, total = Point(3, 4), 7
+    seed = data.draw(st.integers(0, 2**64))
+    n = data.draw(st.integers(0, 2 * BLOCK + 5))
+    whole = make_state(end=end, seed=seed)
+    rows = sample_step_matrix(whole, n)
+    following = sample_step_matrix(whole, 3)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    split = make_state(end=end, seed=seed)
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        if data.draw(st.booleans()):   # an estimate outside [0, T] takes no rows
+            assert estimate_crossing(split, Point(total, 1), 5) == (0.0, 0.0)
+        if hi == lo or data.draw(st.booleans()):
+            assert np.array_equal(sample_step_matrix(split, hi - lo), rows[lo:hi])
+        else:
+            radius = data.draw(st.integers(0, total))
+            i = data.draw(st.integers(-1, radius + 1))
+            h_at_radius = rows[lo:hi, :radius].sum(axis=1)
+            est, _ = estimate_crossing(split, Point(i, radius - i), hi - lo)
+            assert est == np.count_nonzero(h_at_radius == i) / (hi - lo)
+    assert np.array_equal(sample_step_matrix(split, 3), following)
 
 
 def test_estimate_memory_stays_within_a_block():
