@@ -11,7 +11,7 @@ from .correlations import (CorrelationQuery, DegenerateEnsemble,
                            conditioned_partition, crossing_probability,
                            magnetization_profile)
 from .lattice import EnsembleTooLarge, LatticePath, Point, enumerate_paths, sphere
-from .partition import (PinnedInstance, backward_table, forward_table,
+from .partition import (backward_table, forward_table,
                         interface_closed_form, partition_bruteforce,
                         partition_dp, pinned_rep1, pinned_rep2,
                         pinned_via_convolution, pinning_distribution,
@@ -20,9 +20,9 @@ from .partition import (PinnedInstance, backward_table, forward_table,
 from .qpoly import LaurentPoly, NotDivisible, ZeroToNegativePower
 from .sampler import (SamplerState, estimate_crossing, sample_path,
                       sample_paths, sample_step_matrix)
-from .spin import (SpinConfig, amplitude, build_hamiltonian, config_to_path_rep1,
-                   config_to_path_rep2, norm_squared, sector_configs,
-                   verify_ground_state)
+from .spin import (PinnedInstance, SpinConfig, amplitude, build_hamiltonian,
+                   config_to_path_rep1, config_to_path_rep2, norm_squared,
+                   sector_configs, verify_ground_state)
 from .weights import (CustomTable, InterfaceXXZ, OutOfDomain, PinnedRep1,
                       PinnedRep2, scheme_from_name)
 

@@ -154,8 +154,9 @@ def cmd_sample(args) -> int:
 def cmd_hamiltonian(args) -> int:
     if args.config is not None:
         word = args.config.strip()
-        if len(word) != args.L + args.K + 1 or any(c not in "01" for c in word):
-            raise UsageError(f"--config must be a 0/1 word of length {args.L + args.K + 1}")
+        sites = PinnedInstance(K=args.K, L=args.L, N=0).sites   # checks K and L first
+        if len(word) != sites or any(c not in "01" for c in word):
+            raise UsageError(f"--config must be a 0/1 word of length {sites}")
         config = spin.SpinConfig(args.L, args.K, tuple(int(c) for c in word))
         out = {"schema": SCHEMA_POLY, "L": args.L, "K": args.K,
                "config": word, "down_spins": config.down_count,
@@ -199,7 +200,10 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dic
     the re-instanced rec1 readings take rep1 of the smaller instances from
     earlier in the loop; one rep2 table gives rep2 (its end cell), which
     serves the norm, pf, rec2 and every ave entry.  One convolution serves
-    pf and rec2 (rec2_rhs is that sum); the norm at q is ave's right side.
+    pf and rec2 (rec2_rhs is that sum).  Each ave entry evaluates the rep2
+    and the norm already held at q: the two sides that
+    verify_average_representation compares.  Each q is taken to lie in
+    (0, 1); cmd_verify checks that before the suite starts.
     The translation identity reads Z(start, end) from one interface forward
     table per start in [-2, 2]^2 and every shifted Z(start - ref, end - ref)
     from one per shifted start in [0, 4]^2: 50 sweeps for 1 225 checks.
@@ -239,10 +243,10 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dic
                                  "alternative_readings": readings},
                         rep1 == rhs1, rep1, rhs1))
                 for q0 in q_values:
-                    report = partition._average_report(inst, q0, rep2, nsq)
+                    lhs, rhs = rep2.evaluate(q0), nsq.evaluate(q0)
                     entries.append(_report_entry(
-                        "ave", report["parameters"], report["holds"],
-                        report["lhs"], report["rhs"]))
+                        "ave", {**params, "q0": str(q0), "s_reading": partition.AVE_READING},
+                        lhs == rhs, lhs, rhs))
     # translation identity over the rectangles and reference points in [-2, 2]^2,
     # as partition.translated_interface computes it
     pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
@@ -275,6 +279,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--max-K and --max-L must be nonnegative, got {args.max_K} and "
                          f"{args.max_L}")
     q_values = [parse_rational(t) for t in (args.q or ["3/10", "1/2", "4/5"])]
+    if not all(0 < q0 < 1 for q0 in q_values):
+        raise UsageError("q0 must lie in (0, 1)")
     entries = identity_suite(args.max_K, args.max_L, q_values)
     failures = [e for e in entries if not e["holds"]]
     by_identity: dict[str, list[dict]] = {}

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import H_STEP, Point
-from .partition import PinnedInstance, _rep1_tables, partition_dp
+from .partition import partition_dp, rep1_tables
 from .qpoly import LaurentPoly, ONE
+from .spin import PinnedInstance
 from .weights import WeightScheme
 
 
@@ -63,7 +64,7 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
     times the backward flow through the bond, in ints, divided once by Z.
     All arithmetic is exact; the probabilities sum to N exactly.
     """
-    fwd, bwd = _rep1_tables(inst, q0)
+    fwd, bwd = rep1_tables(inst, q0)
     f, flow, z = fwd.values, bwd.flow, fwd.values[inst.N, inst.M]
     profile = []
     for x in range(-inst.L, inst.K + 1):

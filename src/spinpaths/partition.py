@@ -11,43 +11,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .lattice import H_STEP, Point, V_STEP, enumerate_paths
 from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, numerator, pack, unpack
-from .spin import norm_squared
+from .spin import PinnedInstance, norm_squared
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
 ORIGIN = Point(0, 0)
+# what the average identity's s counts, as its reports name it
+AVE_READING = "down spins at sites -L..0"
 
 
 class InternalIdentityFailure(RuntimeError):
     """A step table's probabilities at a point do not sum to exactly 1."""
-
-
-@dataclass(frozen=True)
-class PinnedInstance:
-    """A pinned chain on sites [-L, K] with N down spins (M = K+L+1-N up)."""
-
-    K: int
-    L: int
-    N: int
-
-    def __post_init__(self):
-        if self.K < 0 or self.L < 0:
-            raise ValueError("K and L must be nonnegative")
-        if not 0 <= self.N <= self.sites:
-            raise ValueError(f"N must lie in [0, {self.sites}]")
-
-    @property
-    def sites(self) -> int:
-        return self.K + self.L + 1
-
-    @property
-    def M(self) -> int:
-        return self.sites - self.N
 
 
 class PartitionTable:
@@ -58,24 +36,24 @@ class PartitionTable:
     q0 = p/r the value times int scales.  Every bond of the rectangle has
     an encoded weight, so a cell is W_h * (its horizontal neighbour) +
     W_v * (its vertical neighbour) in plain ints; ``flow`` reads such a
-    product.  Reading a point decodes its int into a LaurentPoly, or into a
-    Fraction when the table was swept at a fixed q; points off the
-    rectangle read as that ring's 0.
+    product.  The codes of one orientation come in rows, one per tail
+    diagonal, each a pair (lo, codes) with lo the lowest tail i on it, so
+    the bond with tail (i, j) is codes[i - lo].  Reading a point decodes
+    its int into a LaurentPoly, or into a Fraction when the table was swept
+    at a fixed q; points off the rectangle read as that ring's 0.
     """
 
-    __slots__ = ("values", "_codes", "_start", "_end", "origin", "_decode")
+    __slots__ = ("values", "_codes", "_start", "origin", "_decode")
 
     def __init__(self, values: dict[tuple[int, int], int],
-                 codes: dict[str, list[list[tuple[int, int]] | None]], start: Point,
-                 end: Point, origin: Point,
-                 decode: Callable[[int, int, int], LaurentPoly | Fraction]):
+                 codes: dict[str, list[tuple[int, list[tuple[int, int]]]]], start: Point,
+                 origin: Point, decode: Callable[[int, int, int], LaurentPoly | Fraction]):
         self.values = values
-        # codes[orientation][d]: the encoded weights (m, k), the ints m << k, of
-        # the bonds whose tails lie on the diagonal i + j = start.i + start.j + d,
-        # from the lowest i on it up (see _encoding)
+        # codes[orientation][d]: the row (lo, codes) of the bonds whose tails lie
+        # on the diagonal i + j = start.i + start.j + d, their encoded weights
+        # (m, k), the ints m << k, from the lowest tail i, lo, up (see _encoding)
         self._codes = codes
         self._start = start
-        self._end = end
         self.origin = origin
         self._decode = decode
 
@@ -89,16 +67,14 @@ class PartitionTable:
         whole paths through the bond, which reads as the far corner does.
         """
         i0, j0 = self._start
-        top = self._end.j   # the highest tail j of a horizontal bond
         if orientation == H_STEP:
             head = self.values.get((i + 1, j)) if i >= i0 else None
         else:
             head = self.values.get((i, j + 1)) if j >= j0 else None
-            top -= 1
         if head is None:
             return 0
-        s = i + j
-        m, k = self._codes[orientation][s - i0 - j0][i - max(i0, s - top)]
+        lo, codes = self._codes[orientation][i + j - i0 - j0]
+        m, k = codes[i - lo]
         return (m * head) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
@@ -133,8 +109,9 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     stored as (m, k), the int m << k with m odd, so a product by a power
     of 2, such as a monomial's code, is a shift.  The codes of the bonds
     of one orientation whose tails lie on one diagonal s = i + j form a
-    row indexed by i - max(start.i, s - tj), tj the highest tail j of that
-    orientation, so a row holds exactly its diagonal's bonds.  A scheme
+    row (lo, codes), lo = max(start.i, s - tj) the lowest tail i on it and
+    tj the highest tail j of that orientation, so the row holds exactly its
+    diagonal's bonds and the one with tail i is codes[i - lo].  A scheme
     that weighs by diagonal is asked once per row, and its row repeats
     that one code; any other is asked bond by bond.  The distinct weights
     are keyed by their raw terms (hashing a LaurentPoly sorts them) and
@@ -159,14 +136,14 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
             if by_diagonal:
                 t = tuple(bond_weight(lo, s - lo, o)._terms.items())
                 codes[o, t] = None
-                rows.append((t, hi - lo + 1))
+                rows.append((lo, t, hi - lo + 1))
                 continue
             row = []
             for i in range(lo, hi + 1):
                 t = tuple(bond_weight(i, s - i, o)._terms.items())
                 codes[o, t] = None
                 row.append(t)
-            rows.append(row)
+            rows.append((lo, row))
     lows = {H_STEP: 0, V_STEP: 0}
     highs = {H_STEP: 0, V_STEP: 0}
     bound, signed = 1, False
@@ -207,13 +184,13 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
 
         def decode(n: int, a: int, b: int) -> Fraction:
             return Fraction(n, scale_h ** a * scale_v ** b)
-    # an orientation without bonds keeps rows of None, which nothing reads
-    table = {H_STEP: [None] * (di + dj), V_STEP: [None] * (di + dj)}
+    # an orientation without bonds keeps empty rows, which nothing reads
+    table = {H_STEP: [(0, ())] * (di + dj), V_STEP: [(0, ())] * (di + dj)}
     for o, rows in asked.items():
         if by_diagonal:
-            table[o] = [[codes[o, t]] * n for t, n in rows]
+            table[o] = [(lo, [codes[o, t]] * n) for lo, t, n in rows]
         else:
-            table[o] = [[codes[o, t] for t in row] for row in rows]
+            table[o] = [(lo, [codes[o, t] for t in row]) for lo, row in rows]
     return table, decode
 
 
@@ -236,7 +213,7 @@ def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> Par
     origin = start if step == 1 else end
     if end.i < start.i or end.j < start.j:
         zero = ZERO if q0 is None else Fraction(0)
-        return PartitionTable({}, {}, start, end, origin, lambda n, a, b: zero)
+        return PartitionTable({}, {}, start, origin, lambda n, a, b: zero)
     codes, decode = _encoding(scheme, start, end, None if q0 is None else Fraction(q0))
     rows_h, rows_v = codes[H_STEP], codes[V_STEP]
     i0, j0 = start
@@ -250,11 +227,11 @@ def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> Par
     for radius in range(1, (i1 - i0) + (j1 - j0) + 1):
         s = oi + oj + step * radius   # the diagonal i + j = s, in increasing i
         t = s - lag   # the tails' diagonal
-        row_h, row_v = rows_h[t - i0 - j0], rows_v[t - i0 - j0]
         # a row starts at its diagonal's lowest tail; i minus these offsets
         # indexes a cell's bonds
-        off_h = lag + max(i0, t - j1)
-        off_v = max(i0, t - j1 + 1)
+        lo_h, row_h = rows_h[t - i0 - j0]
+        off_v, row_v = rows_v[t - i0 - j0]
+        off_h = lag + lo_h
         for i in range(max(i0, s - j1), min(i1, s - j0) + 1):
             j = s - i
             n = 0
@@ -267,7 +244,7 @@ def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> Par
                 m, k = row_v[i - off_v]
                 n += (values[i, j - step] if m == 1 else m * values[i, j - step]) << k
             values[i, j] = n
-    return PartitionTable(values, codes, start, end, origin, decode)
+    return PartitionTable(values, codes, start, origin, decode)
 
 
 def forward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:
@@ -435,7 +412,7 @@ def verify_rec2(inst: PinnedInstance) -> bool:
 # -- observables ------------------------------------------------------------
 
 
-def _rep1_tables(inst: PinnedInstance, q0) -> tuple[PartitionTable, PartitionTable]:
+def rep1_tables(inst: PinnedInstance, q0) -> tuple[PartitionTable, PartitionTable]:
     """The forward and backward first-representation tables over
     [origin, (N, M)] at q = q0, which must lie in (0, 1)."""
     q0 = Fraction(q0)
@@ -453,7 +430,7 @@ def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]
     spent when it crosses the sphere of radius K.  Computed as exact
     through-point ratios, so the probabilities sum to 1 exactly.
     """
-    fwd, bwd = _rep1_tables(inst, q0)
+    fwd, bwd = rep1_tables(inst, q0)
     f, b = fwd.values, bwd.values
     # a path through a point splits into a forward and a backward part, so
     # their encoded product scales as Z does and the ratio is taken in ints
@@ -471,22 +448,17 @@ def verify_average_representation(inst: PinnedInstance, q0) -> dict:
     e_N of q0^(2|x|) over the sites x in [-L, K], the squared norm at q0.
     Both sides are exact rationals; the report carries their exact ratio.
     """
-    return _average_report(inst, q0, pinned_rep2(inst), norm_squared(inst.L, inst.K, inst.N))
-
-
-def _average_report(inst: PinnedInstance, q0, rep2: LaurentPoly, norm: LaurentPoly) -> dict:
-    """verify_average_representation's report, given pinned_rep2 and norm_squared."""
     q0 = Fraction(q0)
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
-    lhs = rep2.evaluate(q0)
+    lhs = pinned_rep2(inst).evaluate(q0)
     z_if = interface_closed_form(inst.N, inst.M).evaluate(q0)
-    rhs = norm.evaluate(q0)
+    rhs = norm_squared(inst.L, inst.K, inst.N).evaluate(q0)
     holds = lhs == rhs
     return {
         "identity": "ave",
         "parameters": {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M,
-                       "q0": str(q0), "s_reading": "down spins at sites -L..0"},
+                       "q0": str(q0), "s_reading": AVE_READING},
         "holds": holds,
         "lhs": str(lhs),
         "rhs": str(rhs),

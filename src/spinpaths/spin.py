@@ -1,6 +1,9 @@
-"""The quantum side: spin configurations, ground-state amplitudes, the
-squared norm, the spin to path bijections, and a matrix-free Hamiltonian
-oracle.
+"""The quantum side: the pinned chain sector, spin configurations,
+ground-state amplitudes, the squared norm, the spin to path bijections, and
+a matrix-free Hamiltonian oracle.
+
+PinnedInstance owns the sector's rule (K, L >= 0 and N in [0, K+L+1]);
+every function here that takes a sector reads its sites from it.
 
 The combinatorial layer stays exact (amplitudes are monomials in q); the
 Hamiltonian oracle deliberately works in floating point, since its only
@@ -28,6 +31,29 @@ SECTOR_DIMENSION_LIMIT = 4096
 
 
 @dataclass(frozen=True)
+class PinnedInstance:
+    """A pinned chain on sites [-L, K] with N down spins (M = K+L+1-N up)."""
+
+    K: int
+    L: int
+    N: int
+
+    def __post_init__(self):
+        if self.K < 0 or self.L < 0:
+            raise ValueError("K and L must be nonnegative")
+        if not 0 <= self.N <= self.sites:
+            raise ValueError(f"N must lie in [0, {self.sites}]")
+
+    @property
+    def sites(self) -> int:
+        return self.K + self.L + 1
+
+    @property
+    def M(self) -> int:
+        return self.sites - self.N
+
+
+@dataclass(frozen=True)
 class SpinConfig:
     """Occupation word alpha_x over sites x in [-L, K]; 1 means down spin."""
 
@@ -37,7 +63,7 @@ class SpinConfig:
 
     def __post_init__(self):
         if self.L < 0 or self.K < 0:
-            raise ValueError("L and K must be nonnegative")
+            raise ValueError("K and L must be nonnegative")
         if len(self.alpha) != self.L + self.K + 1:
             raise ValueError(f"need {self.L + self.K + 1} sites, got {len(self.alpha)}")
         if any(a not in (0, 1) for a in self.alpha):
@@ -87,9 +113,7 @@ def _down_exponents(positions: np.ndarray, L: int, K: int, N: int) -> np.ndarray
 def sector_configs(L: int, K: int, N: int) -> list[SpinConfig]:
     """All configurations with N down spins, in lexicographic order of the
     occupation word read from site -L to K (the basis order of the oracle)."""
-    sites = L + K + 1
-    if not 0 <= N <= sites:
-        raise ValueError(f"N must lie in [0, {sites}]")
+    sites = PinnedInstance(K=K, L=L, N=N).sites
     count = math.comb(sites, N)
     if count * sites > CONFIG_ENUMERATION_LIMIT:
         raise EnsembleTooLarge(f"{count} configurations of {sites} slots exceeds "
@@ -114,11 +138,7 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     up spins leave the down spins the rest of the sum, so one spin of either
     kind on 10^5 sites is one list of 10^5 counts.
     """
-    if L < 0 or K < 0:
-        raise ValueError("K and L must be nonnegative")
-    sites = L + K + 1
-    if not 0 <= N <= sites:
-        raise ValueError(f"N must lie in [0, {sites}]")
+    sites = PinnedInstance(K=K, L=L, N=N).sites
     n = min(N, sites - N)
     # e[k - 1] spans at most (k - 1) max(K, L) + 1 exponents
     additions = sites * n * ((n - 1) * max(K, L) + 1)
@@ -243,11 +263,7 @@ def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
         raise ValueError("q0 must lie in (0, 1)")
     if not math.isfinite(1 / q0):
         raise ValueError(f"1/q0 overflows a float at q0 = {q0}")
-    if L < 0 or K < 0:
-        raise ValueError("K and L must be nonnegative")
-    sites = L + K + 1
-    if not 0 <= N <= sites:
-        raise ValueError(f"N must lie in [0, {sites}]")
+    sites = PinnedInstance(K=K, L=L, N=N).sites
     dim = math.comb(sites, N)
     if dim > SECTOR_DIMENSION_LIMIT:
         raise EnsembleTooLarge(f"sector dimension {dim} exceeds {SECTOR_DIMENSION_LIMIT}")

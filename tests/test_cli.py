@@ -335,6 +335,15 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "nonnegative" in err
 
+    def test_bad_q_is_refused_before_any_sweep(self, capsys, monkeypatch):
+        def refused(*args):
+            raise AssertionError("swept a table before checking --q")
+
+        monkeypatch.setattr(partition, "_sweep", refused)
+        code, out, err = run(capsys, "verify", "--max-K", "3", "--max-L", "3", "--q", "1")
+        assert code == 2 and out == ""
+        assert err == "error: q0 must lie in (0, 1)\n"
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -405,9 +414,19 @@ class TestCleanExits:
         assert code == 2 and out == ""
         assert err == "error: out of memory\n"
 
-    @pytest.mark.parametrize("command", ["norm", "hamiltonian"])
-    def test_negative_extent(self, capsys, command):
-        code, out, err = run(capsys, command, "-K", "1", "-L", "-5", "-N", "0")
+    # K and L are checked before anything else reads them, such as the
+    # length of a --config word
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("norm", "-K", "1", "-L", "-5", "-N", "0"), id="norm"),
+        pytest.param(("hamiltonian", "-K", "1", "-L", "-5", "-N", "0"), id="hamiltonian"),
+        pytest.param(("hamiltonian", "-K", "1", "-L", "-5", "--config", "0"),
+                     id="hamiltonian-config-short"),
+        pytest.param(("hamiltonian", "-K", "1", "-L", "-1", "--config", "1"),
+                     id="hamiltonian-config-one-site"),
+        pytest.param(("profile", "-K", "1", "-L", "-5", "-N", "0", "--q", "1/2"), id="profile"),
+    ])
+    def test_negative_extent(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: K and L must be nonnegative\n"
 

@@ -285,7 +285,7 @@ class TestWeightCodes:
         bonds = di * (dj + 1) + (di + 1) * dj
         for q0 in (None, Fraction(1, 3)):
             table = backward_table(scheme, start, end, q0)
-            held = sum(len(row) for rows in table._codes.values() for row in rows if row)
+            held = sum(len(row) for rows in table._codes.values() for _, row in rows)
             assert held == bonds
             # a bond read at either end of the long side carries its own weight
             for i, j in ((0, 0), (0, 1), (end.i - 1, end.j - 1)):
