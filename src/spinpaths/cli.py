@@ -158,6 +158,11 @@ def cmd_hamiltonian(args) -> int:
         if len(word) != sites or any(c not in "01" for c in word):
             raise UsageError(f"--config must be a 0/1 word of length {sites}")
         config = spin.SpinConfig(args.L, args.K, tuple(int(c) for c in word))
+        if args.N is not None and args.N != config.down_count:
+            raise UsageError(f"-N {args.N} disagrees with --config, which has "
+                             f"{config.down_count} down spins")
+        if args.q0 is not None:
+            raise UsageError("--q0 is for the Hamiltonian oracle; --config takes no q")
         out = {"schema": SCHEMA_POLY, "L": args.L, "K": args.K,
                "config": word, "down_spins": config.down_count,
                "amplitude": poly_json(spin.amplitude(config))}
@@ -165,11 +170,12 @@ def cmd_hamiltonian(args) -> int:
         return 0
     if args.N is None:
         raise UsageError("hamiltonian needs -N (or --config)")
-    oracle = spin.build_hamiltonian(args.L, args.K, args.N, args.q0)
+    q0 = 0.5 if args.q0 is None else args.q0
+    oracle = spin.build_hamiltonian(args.L, args.K, args.N, q0)
     residual = spin.verify_ground_state(oracle)
     ok = residual <= 1e-10
     print(json.dumps({"schema": SCHEMA_RESIDUAL, "L": args.L, "K": args.K,
-                      "N": args.N, "q0": args.q0, "dimension": oracle.dimension,
+                      "N": args.N, "q0": q0, "dimension": oracle.dimension,
                       "residual": residual, "holds": ok}, indent=2))
     return 0 if ok else 1
 
@@ -378,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-L", type=int, required=True)
     p.add_argument("-N", type=int, default=None)
-    p.add_argument("--q0", type=float, default=0.5, help="numeric q for the Hamiltonian oracle")
+    p.add_argument("--q0", type=float, default=None,
+                   help="numeric q for the Hamiltonian oracle (default 0.5)")
     p.add_argument("--config", default=None, help="0/1 word over sites -L..K")
     p.set_defaults(func=cmd_hamiltonian)
 

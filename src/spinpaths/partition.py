@@ -9,6 +9,7 @@ recursion/convolution identities relating them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -29,33 +30,57 @@ class InternalIdentityFailure(RuntimeError):
 
 
 class PartitionTable:
-    """Per-point partition values over a rectangle; immutable after construction.
+    """Per-point partition values over the rectangle [start, end], swept
+    outward from one corner, its origin: from start, so the cell at Q is
+    Z(start, Q), or from end, so it is Z(Q, end).
 
-    Every cell is one int, ``values[(i, j)]``, in an encoding chosen for
-    the rectangle: a Kronecker-packed Laurent polynomial, or at a fixed
-    q0 = p/r the value times int scales.  Every bond of the rectangle has
-    an encoded weight, so a cell is W_h * (its horizontal neighbour) +
-    W_v * (its vertical neighbour) in plain ints; ``flow`` reads such a
-    product.  The codes of one orientation come in rows, one per tail
-    diagonal, each a pair (lo, codes) with lo the lowest tail i on it, so
-    the bond with tail (i, j) is codes[i - lo].  Reading a point decodes
-    its int into a LaurentPoly, or into a Fraction when the table was swept
-    at a fixed q; points off the rectangle read as that ring's 0.
+    Every cell is one int, in an encoding chosen for the rectangle: a
+    Kronecker-packed Laurent polynomial, or at a fixed q0 = p/r the value
+    times int scales.  Every bond of the rectangle has an encoded weight, so
+    a cell is W_h * (its horizontal neighbour) + W_v * (its vertical
+    neighbour) in plain ints; ``times`` forms such a product.  The codes of
+    one orientation come in rows, one per tail diagonal, each a pair
+    (lo, codes) with lo the lowest tail i on it, so the bond with tail
+    (i, j) is codes[i - lo].  Reading a point decodes its int into a
+    LaurentPoly, or into a Fraction when the table was swept at a fixed q;
+    points off the rectangle read as that ring's 0.
+
+    A table sweeps when it is first read, not when it is built, so a caller
+    that needs one cell, such as partition_dp, holds no others.  ``values``,
+    every cell by point, is swept on first use and kept; reading a point or
+    a flow reads it.  ``sweep`` streams the diagonals and keeps none, and
+    ``far_corner`` reads Z(start, end) through it.
     """
 
-    __slots__ = ("values", "_codes", "_start", "origin", "_decode")
-
-    def __init__(self, values: dict[tuple[int, int], int],
-                 codes: dict[str, list[tuple[int, list[tuple[int, int]]]]], start: Point,
-                 origin: Point, decode: Callable[[int, int, int], LaurentPoly | Fraction]):
-        self.values = values
+    def __init__(self, codes: dict[str, list[tuple[int, list[tuple[int, int]]]]],
+                 decode: Callable[[int, int, int], LaurentPoly | Fraction],
+                 start: Point, end: Point, step: int):
         # codes[orientation][d]: the row (lo, codes) of the bonds whose tails lie
         # on the diagonal i + j = start.i + start.j + d, their encoded weights
         # (m, k), the ints m << k, from the lowest tail i, lo, up (see _encoding)
         self._codes = codes
-        self._start = start
-        self.origin = origin
         self._decode = decode
+        self._start = start
+        self._end = end
+        self._step = step
+        self.origin = start if step == 1 else end
+
+    @functools.cached_property
+    def values(self) -> dict[tuple[int, int], int]:
+        """Every cell of the rectangle by point, swept on first use."""
+        return {(i, s - i): n for s, lo, cells in self.sweep() for i, n in enumerate(cells, lo)}
+
+    def sweep(self, radius: int | None = None):
+        """The diagonals out to the sphere of the given radius about the
+        origin, one at a time (see _sweep)."""
+        return _sweep(self, radius)
+
+    def times(self, i: int, j: int, orientation: str, n: int) -> int:
+        """n times the encoded weight of the bond with tail (i, j), which
+        must lie on the rectangle."""
+        lo, codes = self._codes[orientation][i + j - self._start.i - self._start.j]
+        m, k = codes[i - lo]
+        return (m * n) << k
 
     def flow(self, i: int, j: int, orientation: str) -> int:
         """The encoded weight of the bond with tail (i, j) times the cell at
@@ -73,9 +98,7 @@ class PartitionTable:
             head = self.values.get((i, j + 1)) if j >= j0 else None
         if head is None:
             return 0
-        lo, codes = self._codes[orientation][i + j - i0 - j0]
-        m, k = codes[i - lo]
-        return (m * head) << k
+        return self.times(i, j, orientation, head)
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
         """The cell at point, decoded.
@@ -89,13 +112,21 @@ class PartitionTable:
         return self._decode(self.values.get(point, 0),
                             abs(point[0] - origin[0]), abs(point[1] - origin[1]))
 
+    def far_corner(self) -> LaurentPoly | Fraction:
+        """Z(start, end), the cell opposite the origin, by a sweep that holds
+        one diagonal at a time."""
+        start, end = self._start, self._end
+        last = _last(self.sweep())
+        return self._decode(last[2][0] if last else 0, end.i - start.i, end.j - start.j)
+
 
 def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | None):
-    """Encode every bond weight of the nonempty rectangle [start, end] as an int.
+    """Encode every bond weight of the rectangle [start, end] as an int.
 
     Returns (codes, decode) as PartitionTable holds them; decode(n, a, b)
-    reads a value that spans a horizontal and b vertical steps.  The
-    exponents of each orientation o are offset by V_o = min(0, lowest
+    reads a value that spans a horizontal and b vertical steps.  An empty
+    rectangle has no codes, and its decode reads every int as the ring's 0.
+    The exponents of each orientation o are offset by V_o = min(0, lowest
     exponent), so such a value is offset by a*V_h + b*V_v.
     - Polynomials (Kronecker substitution): offset exponents are strided by
       g, their gcd, and q^e goes to the w-bit slot (e - V_o) / g; w is the
@@ -117,6 +148,9 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     are keyed by their raw terms (hashing a LaurentPoly sorts them) and
     encoded once each.
     """
+    if end.i < start.i or end.j < start.j:
+        zero = ZERO if q0 is None else Fraction(0)
+        return {}, lambda n, a, b: zero
     bond_weight = scheme.bond_weight
     by_diagonal = scheme.by_diagonal
     i0, j0 = start
@@ -200,67 +234,86 @@ def _odd_and_shift(n: int) -> tuple[int, int]:
     return n >> k, k
 
 
-def _sweep(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> PartitionTable:
-    """Sphere sweep outward from one corner of the rectangle [start, end].
+def _sweep(table: PartitionTable, radius: int | None = None):
+    """Sphere sweep of the table's rectangle outward from its origin corner,
+    as a generator.
 
-    step +1 grows from start, so values[Q] = Z(start, Q); step -1 grows
-    from end, so values[Q] = Z(Q, end).  Each diagonal i+j = const reads
-    only the one swept before it, and the weight codes of one row.  Every
-    cell is one int, so the ring enters only through the encoded weights
-    and the decoder: with q0 given, a cell reads as Z at q = q0, an exact
-    Fraction; otherwise as the Laurent polynomial.
+    Yields the diagonals i + j = s from the origin's out to the sphere of
+    the given radius about it (the far corner by default), each as
+    (s, lo, cells): cells[i - lo] is the cell at (i, s - i), an int in the
+    table's encoding, from the lowest i on the diagonal, lo, up.  An empty
+    rectangle yields nothing.  Each diagonal reads only the one yielded
+    before it and the weight codes of one row, so a consumer keeps what it
+    reads and no more; a yielded list is not changed afterwards.
     """
-    origin = start if step == 1 else end
-    if end.i < start.i or end.j < start.j:
-        zero = ZERO if q0 is None else Fraction(0)
-        return PartitionTable({}, {}, start, origin, lambda n, a, b: zero)
-    codes, decode = _encoding(scheme, start, end, None if q0 is None else Fraction(q0))
-    rows_h, rows_v = codes[H_STEP], codes[V_STEP]
-    i0, j0 = start
-    i1, j1 = end
-    oi, oj = origin
-    values = {origin: 1}
+    i0, j0 = table._start
+    i1, j1 = table._end
+    if i1 < i0 or j1 < j0:
+        return
+    step = table._step
+    rows_h, rows_v = table._codes[H_STEP], table._codes[V_STEP]
+    oi, oj = table.origin
+    prev, prev_lo = [1], oi
+    yield oi + oj, oi, prev
     # a bond's tail is its lower end: the cell behind when growing from
     # start, the cell itself when growing from end; either way both tails
     # of a cell's bonds lie on one diagonal
     lag = 1 if step == 1 else 0
-    for radius in range(1, (i1 - i0) + (j1 - j0) + 1):
-        s = oi + oj + step * radius   # the diagonal i + j = s, in increasing i
-        t = s - lag   # the tails' diagonal
+    for r in range(1, (i1 - i0) + (j1 - j0) + 1 if radius is None else radius + 1):
+        s = oi + oj + step * r   # the diagonal i + j = s, in increasing i
         # a row starts at its diagonal's lowest tail; i minus these offsets
-        # indexes a cell's bonds
-        lo_h, row_h = rows_h[t - i0 - j0]
-        off_v, row_v = rows_v[t - i0 - j0]
+        # indexes a cell's bonds and its two neighbours in prev
+        lo_h, row_h = rows_h[s - lag - i0 - j0]
+        off_v, row_v = rows_v[s - lag - i0 - j0]
         off_h = lag + lo_h
-        for i in range(max(i0, s - j1), min(i1, s - j0) + 1):
-            j = s - i
+        back_h = step + prev_lo
+        lo = max(i0, s - j1)
+        cells = []
+        for i in range(lo, min(i1, s - j0) + 1):
             n = 0
             # m is 1 for a weight that is a power of 2, such as q^e with coefficient
             # 1 in a packed polynomial; skip that product, which only copies
             if i != oi:
                 m, k = row_h[i - off_h]
-                n = (values[i - step, j] if m == 1 else m * values[i - step, j]) << k
-            if j != oj:
+                x = prev[i - back_h]
+                n = (x if m == 1 else m * x) << k
+            if s - i != oj:
                 m, k = row_v[i - off_v]
-                n += (values[i, j - step] if m == 1 else m * values[i, j - step]) << k
-            values[i, j] = n
-    return PartitionTable(values, codes, start, origin, decode)
+                x = prev[i - prev_lo]
+                n += (x if m == 1 else m * x) << k
+            cells.append(n)
+        yield s, lo, cells
+        prev, prev_lo = cells, lo
+
+
+def _last(diagonals):
+    """The last diagonal a sweep yields, or None; it holds no other."""
+    last = None
+    for last in diagonals:
+        pass
+    return last
+
+
+def _table(scheme: WeightScheme, start: Point, end: Point, step: int, q0) -> PartitionTable:
+    codes, decode = _encoding(scheme, start, end, None if q0 is None else Fraction(q0))
+    return PartitionTable(codes, decode, start, end, step)
 
 
 def forward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:
     """Z(start, Q) for every Q in the rectangle [start, end], at q = q0 if given."""
-    return _sweep(scheme, start, end, 1, q0)
+    return _table(scheme, start, end, 1, q0)
 
 
 def backward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> PartitionTable:
     """Z(Q, end) for every Q in the rectangle [start, end], at q = q0 if given."""
-    return _sweep(scheme, start, end, -1, q0)
+    return _table(scheme, start, end, -1, q0)
 
 
 def partition_dp(scheme: WeightScheme, start: Point, end: Point,
                  q0=None) -> LaurentPoly | Fraction:
-    """Z(start, end) by the sphere sweep, at q = q0 if given; 0 when the rectangle is empty."""
-    return forward_table(scheme, start, end, q0)[end]
+    """Z(start, end) by the sphere sweep, at q = q0 if given; 0 when the
+    rectangle is empty.  The sweep holds one diagonal at a time."""
+    return forward_table(scheme, start, end, q0).far_corner()
 
 
 def partition_bruteforce(scheme: WeightScheme, start: Point, end: Point) -> LaurentPoly:
@@ -431,11 +484,15 @@ def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]
     through-point ratios, so the probabilities sum to 1 exactly.
     """
     fwd, bwd = rep1_tables(inst, q0)
-    f, b = fwd.values, bwd.values
-    # a path through a point splits into a forward and a backward part, so
-    # their encoded product scales as Z does and the ratio is taken in ints
-    return [(n, Fraction(f[n, inst.K - n] * b[n, inst.K - n], f[inst.N, inst.M]))
-            for n in range(max(0, inst.K - inst.M), min(inst.K, inst.N) + 1)]
+    # both sweeps stop at the sphere of radius K.  A path through a point splits
+    # into a forward and a backward part, so their encoded product scales as Z
+    # does; every path crosses the sphere once, so those products sum to Z, and
+    # each ratio is taken in ints
+    _, lo, f = _last(fwd.sweep(inst.K))
+    _, _, b = _last(bwd.sweep(inst.N + inst.M - inst.K))
+    through = [x * y for x, y in zip(f, b)]
+    z = sum(through)
+    return [(n, Fraction(w, z)) for n, w in enumerate(through, lo)]
 
 
 def verify_average_representation(inst: PinnedInstance, q0) -> dict:

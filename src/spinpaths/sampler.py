@@ -34,9 +34,9 @@ class SamplerState:
     """Sampling context for one rectangle ensemble.
 
     Holds the per-point horizontal-step probabilities by anti-diagonal
-    (formed as exact rationals from the backward table, converted to double
-    once), the Philox stream and `rows`, the number of rows drawn from it.
-    `_walk` is the only reader of `rng`.
+    (formed as exact rationals from the backward sweep, two diagonals of it
+    at a time, and converted to double once), the Philox stream and `rows`,
+    the number of rows drawn from it.  `_walk` is the only reader of `rng`.
     """
 
     def __init__(self, scheme: WeightScheme, start: Point, end: Point, q0, seed: int):
@@ -50,32 +50,33 @@ class SamplerState:
         self.start = start
         self.end = end
         self.seed = seed
-        backward = backward_table(scheme, start, end, q0)
-        values, flow = backward.values, backward.flow
-        if values[start] == 0:
-            raise DegenerateEnsemble(f"Z{start}->{end} = 0 at q = {q0}")
-
         # a step's probability is W * Z(next) / Z(here); the encodings' scales
         # cancel in the ratio, so it is formed from the encoded ints directly.
         # The walk reads them by anti-diagonal: after t steps a path with a H
         # steps sits at (a, t - a), whose probability is diag[t, a] (0.0 where
-        # t - a falls outside [0, dj], a cell no walk reaches)
-        di = end.i - start.i
-        dj = end.j - start.j
-        diag = np.zeros((di + dj, di + 1), dtype=np.float64)
-        for a in range(di + 1):
-            for b in range(dj + 1):
-                if a == di and b == dj:
-                    continue
-                i, j = start.i + a, start.j + b
-                z_here = values[i, j]
-                if z_here == 0:
-                    continue  # unreachable at this q; probability never consulted
-                h, v = flow(i, j, H_STEP), flow(i, j, V_STEP)
-                if h + v != z_here:
-                    raise InternalIdentityFailure(
-                        f"step probabilities at {Point(i, j)} sum to {Fraction(h + v, z_here)}")
-                diag[a + b, a] = h / z_here   # int true division rounds correctly
+        # t - a falls outside [0, dj], a cell no walk reaches).  The backward
+        # sweep yields the diagonals from the end down, so each row is filled
+        # as its diagonal arrives, from it and the one before it
+        table = backward_table(scheme, start, end, q0)
+        diag = np.zeros((end.i - start.i + end.j - start.j, end.i - start.i + 1),
+                        dtype=np.float64)
+        above = above_lo = None   # the diagonal one step nearer the end
+        for s, lo, cells in table.sweep():
+            if above is not None:
+                row = diag[s - start.i - start.j]
+                for i, z_here in enumerate(cells, lo):
+                    if z_here == 0:
+                        continue  # unreachable at this q; probability never consulted
+                    j = s - i
+                    h = table.times(i, j, H_STEP, above[i + 1 - above_lo]) if i < end.i else 0
+                    v = table.times(i, j, V_STEP, above[i - above_lo]) if j < end.j else 0
+                    if h + v != z_here:
+                        raise InternalIdentityFailure(
+                            f"step probabilities at {Point(i, j)} sum to {Fraction(h + v, z_here)}")
+                    row[i - start.i] = h / z_here   # int true division rounds correctly
+            above, above_lo = cells, lo
+        if above[0] == 0:   # the last diagonal is the start cell
+            raise DegenerateEnsemble(f"Z{start}->{end} = 0 at q = {q0}")
         self.diag = diag
         self._open_stream(np.random.Generator(np.random.Philox(key=seed)))
 

@@ -14,7 +14,7 @@ import pytest
 import spinpaths
 from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, PinnedInstance, Point,
                        SamplerState, sample_paths)
-from spinpaths import partition, sampler, spin
+from spinpaths import partition, spin
 from spinpaths.cli import (_rendered, _report_entry, build_parser, identity_suite, main,
                            parse_rational)
 from spinpaths.sampler import BLOCK
@@ -392,14 +392,16 @@ class TestCleanExits:
         assert err.count("\n") == 1 and err.startswith("error: ") and "q = 0" in err
 
     def test_internal_failure_exits_one(self, capsys, monkeypatch):
-        real = sampler.backward_table
+        # the start cell (0, 0): the last diagonal the sampler's backward sweep yields
+        real = partition._sweep
 
-        def corrupted(scheme, start, end, q0=None):
-            table = real(scheme, start, end, q0)
-            table.values[start] += 1
-            return table
+        def corrupted(table, radius=None):
+            for s, lo, cells in real(table, radius):
+                if s == 0:
+                    cells[0] += 1
+                yield s, lo, cells
 
-        monkeypatch.setattr(sampler, "backward_table", corrupted)
+        monkeypatch.setattr(partition, "_sweep", corrupted)
         code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
                              "--q", "1/2")
         assert code == 1 and out == ""
@@ -429,6 +431,26 @@ class TestCleanExits:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: K and L must be nonnegative\n"
+
+    @pytest.mark.parametrize("extra", [("-N", "0"), ("-N", "3")])
+    def test_config_with_another_down_count(self, capsys, extra):
+        code, out, err = run(capsys, "hamiltonian", "-K", "1", "-L", "1", *extra,
+                             "--config", "110")
+        assert code == 2 and out == ""
+        assert err == f"error: -N {extra[1]} disagrees with --config, which has 2 down spins\n"
+
+    @pytest.mark.parametrize("q0", ["7", "0.5"])
+    def test_config_with_q0(self, capsys, q0):
+        # the amplitude is a polynomial in q; no number is taken for it
+        code, out, err = run(capsys, "hamiltonian", "-K", "1", "-L", "1", "-N", "3",
+                             "--config", "111", "--q0", q0)
+        assert code == 2 and out == ""
+        assert err == "error: --q0 is for the Hamiltonian oracle; --config takes no q\n"
+
+    def test_config_with_its_own_down_count(self, capsys):
+        with_n = run(capsys, "hamiltonian", "-K", "1", "-L", "1", "-N", "2", "--config", "110")
+        assert with_n == run(capsys, "hamiltonian", "-K", "1", "-L", "1", "--config", "110")
+        assert with_n[0] == 0
 
     def test_q0_with_overflowing_reciprocal(self, capsys, recwarn):
         # 1/q0 is inf below about 5.6e-309; the oracle would weigh bonds by it

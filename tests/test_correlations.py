@@ -12,6 +12,7 @@ from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
                        crossing_probability, enumerate_paths, forward_table,
                        magnetization_profile, partition_dp,
                        pinning_distribution, sector_configs, sphere)
+from spinpaths.partition import rep1_tables
 from spinpaths import partition
 from spinpaths.lattice import H_STEP, horizontal_bond, vertical_bond
 
@@ -158,6 +159,41 @@ def test_pinned_observables_sweep_two_tables(observable, monkeypatch):
         calls.clear()
         observable(inst, HALF)
         assert len(calls) == 2, inst
+
+
+def full_table_pinning(inst, q0):
+    """pinning_distribution as it was read from both whole rep1 tables."""
+    fwd, bwd = rep1_tables(inst, q0)
+    f, b = fwd.values, bwd.values
+    return [(n, Fraction(f[n, inst.K - n] * b[n, inst.K - n], f[inst.N, inst.M]))
+            for n in range(max(0, inst.K - inst.M), min(inst.K, inst.N) + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data(),
+       st.builds(Fraction, st.integers(1, 12), st.integers(13, 24)))
+def test_pinning_matches_the_full_tables(K, L, data, q0):
+    inst = PinnedInstance(K=K, L=L, N=data.draw(st.integers(0, K + L + 1)))
+    assert pinning_distribution(inst, q0) == full_table_pinning(inst, q0)
+
+
+def test_pinning_sweeps_one_rectangle_and_the_sphere(monkeypatch):
+    # the two sweeps meet on the sphere of radius K, and each stops there
+    swept = []
+    real = partition._sweep
+
+    def counted(*args):
+        for s, lo, cells in real(*args):
+            swept.append(len(cells))
+            yield s, lo, cells
+
+    monkeypatch.setattr(partition, "_sweep", counted)
+    for K, L, N in ((0, 0, 1), (3, 2, 3), (4, 6, 2), (6, 1, 8)):
+        inst = PinnedInstance(K=K, L=L, N=N)
+        swept.clear()
+        pinning_distribution(inst, HALF)
+        sphere_cells = min(K, N) - max(0, K - inst.M) + 1
+        assert sum(swept) == (N + 1) * (inst.M + 1) + sphere_cells
 
 
 # -- fixed-q consumers against polynomial tables evaluated cell by cell ------------

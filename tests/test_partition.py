@@ -2,6 +2,7 @@
 pinned-chain representations, and the recursion identities."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,67 @@ class TestPartitionDP:
         assert partition_dp(scheme, ORIGIN, Point(0, 1)) == poly({1: 1})
         assert partition_dp(scheme, ORIGIN, Point(0, 1)) == partition_bruteforce(
             scheme, ORIGIN, Point(0, 1))
+
+
+def _drawn_scheme(data, start, end, cells):
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    if kind == "interface":
+        return InterfaceXXZ()
+    if kind == "rep2":
+        return PinnedRep2()
+    if kind == "rep1":
+        K = data.draw(st.integers(0, 4))
+        # rep1 is defined up to radius K+L+1; keep every bond head inside it
+        return PinnedRep1(K=K, L=max(data.draw(st.integers(0, 4)), end.i + end.j - K - 1))
+    return custom_scheme(data, cells)
+
+
+class TestStreamedSweep:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_partition_dp_matches_the_table_and_enumeration(self, data):
+        # partition_dp holds one diagonal at a time, a table holds every cell,
+        # and enumeration sums the paths; up to C(10, 5) = 252 of them
+        start = Point(data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4)))
+        # a side of -1 makes the rectangle empty
+        end = start.translate(data.draw(st.integers(-1, 5)), data.draw(st.integers(-1, 5)))
+        cells = [Point(i, j) for i in range(start.i, end.i + 1)
+                 for j in range(start.j, end.j + 1)]
+        scheme = _drawn_scheme(data, start, end, cells)
+        want = partition_bruteforce(scheme, start, end)
+        q0 = data.draw(st.none() | st.builds(Fraction, st.integers(-12, 12).filter(bool),
+                                               st.integers(1, 12)))
+        if q0 is not None:
+            want = want.evaluate(q0)
+        got = partition_dp(scheme, start, end, q0)
+        assert got == want and type(got) is type(want)
+        assert forward_table(scheme, start, end, q0)[end] == want
+        backward = backward_table(scheme, start, end, q0)
+        assert backward.far_corner() == want and backward[start] == want
+
+    def test_a_stopped_sweep_matches_the_table(self):
+        scheme, end = PinnedRep1(K=3, L=4), Point(5, 3)
+        for make in (forward_table, backward_table):
+            table = make(scheme, ORIGIN, end, Fraction(2, 5))
+            for radius in range(end.i + end.j + 1):
+                diagonals = list(table.sweep(radius))
+                assert len(diagonals) == radius + 1
+                for s, lo, cells in diagonals:
+                    assert cells == [table.values[i, s - i] for i in range(lo, lo + len(cells))]
+
+    # tracemalloc peaks; a sweep that held every cell took 85 MiB and 93 MiB
+    @pytest.mark.parametrize("scheme, end, bound", [
+        (InterfaceXXZ(), Point(60, 60), 10 * 2**20),
+        (PinnedRep2(), Point(600, 1), 8 * 2**20),
+    ], ids=["interface-60x60", "rep2-600x1"])
+    def test_partition_dp_holds_one_diagonal(self, scheme, end, bound):
+        tracemalloc.start()
+        try:
+            partition_dp(scheme, ORIGIN, end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestBruteforce:

@@ -11,10 +11,10 @@ from scipy import stats
 
 from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
                        InterfaceXXZ, LaurentPoly, PinnedRep1, PinnedRep2, Point,
-                       SamplerState, crossing_probability, enumerate_paths,
+                       SamplerState, backward_table, crossing_probability, enumerate_paths,
                        estimate_crossing, partition_dp, sample_path,
                        sample_paths, sample_step_matrix)
-from spinpaths.lattice import horizontal_bond, vertical_bond
+from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
 from spinpaths.sampler import BLOCK
 
 ORIGIN = Point(0, 0)
@@ -308,6 +308,58 @@ def test_any_split_into_calls_gives_the_same_rows(data):
             est, _ = estimate_crossing(split, Point(i, radius - i), hi - lo)
             assert est == np.count_nonzero(h_at_radius == i) / (hi - lo)
     assert np.array_equal(sample_step_matrix(split, 3), following)
+
+
+def full_table_diag(scheme, start, end, q0):
+    """The step table built the way it was when the sampler held the whole
+    backward table: every cell, then each flow."""
+    table = backward_table(scheme, start, end, q0)
+    di, dj = end.i - start.i, end.j - start.j
+    diag = np.zeros((di + dj, di + 1))
+    for a in range(di + 1):
+        for b in range(dj + 1):
+            i, j = start.i + a, start.j + b
+            z = table.values[i, j]
+            if (a, b) != (di, dj) and z:
+                assert table.flow(i, j, H_STEP) + table.flow(i, j, V_STEP) == z
+                diag[a + b, a] = table.flow(i, j, H_STEP) / z
+    return diag
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_streamed_step_table_matches_the_full_table(data):
+    start = Point(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+    end = start.translate(data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7)))
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    if kind == "interface":
+        scheme = InterfaceXXZ()
+    elif kind == "rep1":
+        K = data.draw(st.integers(0, 5))
+        scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1))
+    elif kind == "rep2":
+        scheme = PinnedRep2()
+    else:
+        # positive coefficients keep Z(start) from vanishing
+        bonds = [make(Point(i, j)) for i in range(start.i, end.i + 1)
+                 for j in range(start.j, end.j + 1) for make in (horizontal_bond, vertical_bond)]
+        weight = st.builds(lambda c, e: LaurentPoly({e: c}), st.integers(1, 3), st.integers(-3, 3))
+        scheme = CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), weight,
+                                                             max_size=8)))
+    q0 = Fraction(data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20)))
+    state = SamplerState(scheme, start, end, q0, 0)
+    np.testing.assert_array_equal(state.diag, full_table_diag(scheme, start, end, q0))
+
+
+def test_step_table_holds_two_diagonals():
+    # tracemalloc peak; the sampler that held the whole backward table took 13 MiB
+    tracemalloc.start()
+    try:
+        SamplerState(InterfaceXXZ(), ORIGIN, Point(100, 100), HALF, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_estimate_memory_stays_within_a_block():
