@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import H_STEP, Point
+from .lattice import Point
 from .partition import partition_dp, rep1_tables
 from .qpoly import LaurentPoly, ONE
 from .spin import PinnedInstance
@@ -58,19 +58,22 @@ def magnetization_profile(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]
 
     A first-representation path replays site s at its step s onto the
     sphere of radius s for s <= K, and site s - (K+L+1) after that, and its
-    weight is the configuration's squared amplitude.  So P(down at x) is
-    the weight of the paths whose step onto that sphere is horizontal: a
-    sum over the sphere's horizontal bonds of forward cell at the tail
-    times the backward flow through the bond, in ints, divided once by Z.
-    All arithmetic is exact; the probabilities sum to N exactly.
+    weight is the configuration's squared amplitude.  On the sphere of
+    radius s a path sits at the i that counts its horizontal steps so far,
+    so m_s, the sum over that sphere of i times forward cell times backward
+    cell, is the weight of paths times that count.  Step s is horizontal
+    exactly when the count grows there, so P(down at the site it replays)
+    is (m_s - m_(s-1)) / Z.  The two tables encode alike, so every product
+    reads as Z, the backward origin cell, does; the moments are ints, and
+    each probability is one exact ratio.  They sum to N exactly.
     """
     fwd, bwd = rep1_tables(inst, q0)
-    f, flow, z = fwd.values, bwd.flow, fwd.values[inst.N, inst.M]
-    profile = []
-    for x in range(-inst.L, inst.K + 1):
-        s = x if x > 0 else x + inst.sites
-        # tails on the sphere of radius s - 1; flow is 0 where the head leaves
-        acc = sum(f[i, s - 1 - i] * flow(i, s - 1 - i, H_STEP)
-                  for i in range(max(0, s - 1 - inst.M), min(inst.N, s - 1) + 1))
-        profile.append((x, Fraction(acc, z)))
-    return profile
+    # the backward sweep runs from the far corner in, so hold its diagonals
+    # and stream the forward one against them; a sphere has the same lo in both
+    back = [cells for _, _, cells in bwd.sweep()][::-1]
+    moments = [sum(i * x * y for i, (x, y) in enumerate(zip(f, back[s]), lo))
+               for s, lo, f in fwd.sweep()]
+    z = back[0][0]
+    steps = [Fraction(b - a, z) for a, b in zip(moments, moments[1:])]
+    # steps K+1..K+L+1 replay sites -L..0, and steps 1..K sites 1..K
+    return list(zip(range(-inst.L, inst.K + 1), steps[inst.K:] + steps[:inst.K]))

@@ -47,8 +47,8 @@ class PartitionTable:
 
     A table sweeps when it is first read, not when it is built, so a caller
     that needs one cell, such as partition_dp, holds no others.  ``values``,
-    every cell by point, is swept on first use and kept; reading a point or
-    a flow reads it.  ``sweep`` streams the diagonals and keeps none, and
+    every cell by point, is swept on first use and kept; reading a point
+    reads it.  ``sweep`` streams the diagonals and keeps none, and
     ``far_corner`` reads Z(start, end) through it.
     """
 
@@ -81,24 +81,6 @@ class PartitionTable:
         lo, codes = self._codes[orientation][i + j - self._start.i - self._start.j]
         m, k = codes[i - lo]
         return (m * n) << k
-
-    def flow(self, i: int, j: int, orientation: str) -> int:
-        """The encoded weight of the bond with tail (i, j) times the cell at
-        its head, as one int; 0 when the bond is off the rectangle.
-
-        In a backward table this is the weight of the paths from (i, j) that
-        take the bond first.  Tables of one scheme, rectangle and q encode
-        alike, so a forward cell at (i, j) times it is the weight of the
-        whole paths through the bond, which reads as the far corner does.
-        """
-        i0, j0 = self._start
-        if orientation == H_STEP:
-            head = self.values.get((i + 1, j)) if i >= i0 else None
-        else:
-            head = self.values.get((i, j + 1)) if j >= j0 else None
-        if head is None:
-            return 0
-        return self.times(i, j, orientation, head)
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
         """The cell at point, decoded.

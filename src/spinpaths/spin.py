@@ -17,6 +17,7 @@ importing the package does not load it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,10 +134,11 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     the sites x in [-L, K] (I. G. Macdonald, Symmetric Functions and Hall
     Polynomials, ch. I §2), built in one pass over the sites in int counts.
 
-    The sites come in ascending |x|, and e[k][d] counts the k-subsets of
-    those so far whose |x| sum to d, for k up to n = min(N, sites - N): held
-    up spins leave the down spins the rest of the sum, so one spin of either
-    kind on 10^5 sites is one list of 10^5 counts.
+    The sites come in ascending |x|, merged from the ranges 0..K and 1..L,
+    and e[k][d] counts the k-subsets of those so far whose |x| sum to d, for
+    k up to n = min(N, sites - N): held up spins leave the down spins the
+    rest of the sum, so one spin of either kind on 10^5 sites is one list of
+    10^5 counts.  When n = 0 the sector has one configuration and no pass runs.
     """
     sites = PinnedInstance(K=K, L=L, N=N).sites
     n = min(N, sites - N)
@@ -145,7 +147,7 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     if additions > NORM_ADDITION_LIMIT:
         raise EnsembleTooLarge(f"{additions} additions exceeds {NORM_ADDITION_LIMIT}")
     e = [[1]] + [[] for _ in range(n)]
-    for seen, d in enumerate(sorted(abs(x) for x in range(-L, K + 1))):
+    for seen, d in enumerate(heapq.merge(range(K + 1), range(1, L + 1)) if n else ()):
         # e[k] += z^d e[k - 1], k from the top down; as d is the largest |x|
         # so far, the shifted e[k - 1] ends where the new e[k] does
         for k in range(min(seen + 1, n), 0, -1):

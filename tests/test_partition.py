@@ -315,22 +315,17 @@ class TestWeightCodes:
         table={horizontal_bond(Point(1, 0)): poly({1: 2, 2: -1}),
                vertical_bond(Point(0, 1)): poly({-1: 3})})])
     @pytest.mark.parametrize("q0", [None, Fraction(2, 5)])
-    def test_flow_reads_zero_off_the_rectangle(self, scheme, q0):
+    def test_a_cell_splits_over_its_two_bonds(self, scheme, q0):
         start, end = Point(-1, 0), Point(2, 2)
         table = backward_table(scheme, start, end, q0)
-        for i in range(start.i - 1, end.i + 2):
-            for j in range(start.j - 1, end.j + 2):
-                h, v = table.flow(i, j, H_STEP), table.flow(i, j, V_STEP)
-                inside = start.i <= i <= end.i and start.j <= j <= end.j
-                if not inside or i == end.i:
-                    assert h == 0
-                if not inside or j == end.j:
-                    assert v == 0
-                if inside and (i, j) != end:
+        cells = table.values
+        for i in range(start.i, end.i + 1):
+            for j in range(start.j, end.j + 1):
+                if (i, j) != end:
                     # the paths from (i, j) take one of its two bonds first
-                    assert h + v == table.values[i, j]
-        empty = backward_table(scheme, end, start, q0)
-        assert empty.flow(0, 0, H_STEP) == empty.flow(0, 0, V_STEP) == 0
+                    h = table.times(i, j, H_STEP, cells[i + 1, j]) if i < end.i else 0
+                    v = table.times(i, j, V_STEP, cells[i, j + 1]) if j < end.j else 0
+                    assert h + v == cells[i, j]
 
     # the interface's cells grow with the square of the width, so its
     # rectangles are narrower
@@ -352,9 +347,12 @@ class TestWeightCodes:
             # a bond read at either end of the long side carries its own weight
             for i, j in ((0, 0), (0, 1), (end.i - 1, end.j - 1)):
                 for o, head in ((H_STEP, Point(i + 1, j)), (V_STEP, Point(i, j + 1))):
+                    if not end.dominates(head):
+                        continue   # the bond leaves the rectangle
                     weight = scheme.bond_weight(i, j, o)
                     want = weight * table[head] if q0 is None else weight.evaluate(q0) * table[head]
-                    assert table._decode(table.flow(i, j, o), end.i - i, end.j - j) == want
+                    got = table.times(i, j, o, table.values[head])
+                    assert table._decode(got, end.i - i, end.j - j) == want
 
 
 class TestZeroQ:

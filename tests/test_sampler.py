@@ -312,17 +312,20 @@ def test_any_split_into_calls_gives_the_same_rows(data):
 
 def full_table_diag(scheme, start, end, q0):
     """The step table built the way it was when the sampler held the whole
-    backward table: every cell, then each flow."""
+    backward table: every cell, then each bond's weight times its head."""
     table = backward_table(scheme, start, end, q0)
+    cells = table.values
     di, dj = end.i - start.i, end.j - start.j
     diag = np.zeros((di + dj, di + 1))
     for a in range(di + 1):
         for b in range(dj + 1):
             i, j = start.i + a, start.j + b
-            z = table.values[i, j]
+            z = cells[i, j]
             if (a, b) != (di, dj) and z:
-                assert table.flow(i, j, H_STEP) + table.flow(i, j, V_STEP) == z
-                diag[a + b, a] = table.flow(i, j, H_STEP) / z
+                h = table.times(i, j, H_STEP, cells[i + 1, j]) if a < di else 0
+                v = table.times(i, j, V_STEP, cells[i, j + 1]) if b < dj else 0
+                assert h + v == z
+                diag[a + b, a] = h / z
     return diag
 
 

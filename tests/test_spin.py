@@ -95,6 +95,20 @@ class TestNormSquared:
         total = 99_998 * 99_999 // 2
         assert nsq == LaurentPoly({2 * (total - x): 1 for x in range(99_999)})
 
+    @pytest.mark.parametrize("L, K", [(0, 100_000), (100_000, 0), (40_000, 60_000)])
+    def test_one_configuration_runs_no_pass(self, L, K):
+        # tracemalloc peak; sorting the sites' |x| took 3.9 MiB at 10^5 sites
+        total = (L * (L + 1) + K * (K + 1)) // 2
+        for N, want in ((0, LaurentPoly.one()), (L + K + 1, LaurentPoly({2 * total: 1}))):
+            tracemalloc.start()
+            try:
+                nsq = norm_squared(L, K, N)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert nsq == want
+            assert peak <= 64 * 2**10
+
     def test_matches_per_configuration_sum(self):
         # every sector with K, L <= 6, and every sector of at most 10 sites
         chains = [(L, K) for L in range(10) for K in range(10)
