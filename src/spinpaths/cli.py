@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from . import correlations, partition, sampler, spin
 from .lattice import Point
-from .partition import ORIGIN, PinnedInstance
 from .qpoly import LaurentPoly, ZeroToNegativePower
-from .weights import InterfaceXXZ, PinnedRep1, scheme_from_name
+from .spin import PinnedInstance
+from .weights import scheme_from_name
 
 SCHEMA_POLY = "spinpaths/polynomial/1"
 SCHEMA_REPORT = "spinpaths/report/1"
@@ -180,12 +180,7 @@ def cmd_hamiltonian(args) -> int:
     return 0 if ok else 1
 
 
-# -- the identity suite -------------------------------------------------------
-
-
-def _report_entry(identity: str, params: dict, holds: bool, lhs, rhs) -> dict:
-    return {"identity": identity, "parameters": params, "holds": bool(holds),
-            "lhs": lhs, "rhs": rhs}
+# -- verify -----------------------------------------------------------------
 
 
 def _rendered(entry: dict) -> dict:
@@ -197,89 +192,6 @@ def _rendered(entry: dict) -> dict:
     return {**entry, "lhs": render(entry["lhs"]), "rhs": render(entry["rhs"])}
 
 
-def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dict]:
-    """Run every identity on the (K, L) grid; one report entry per check, sides unrendered.
-
-    Each distinct table is swept once per call and read many times; nothing
-    outlives the call.  Per pinned instance, one rep1 forward table gives
-    rep1 (its end cell) and both rec1 sides (the cells one step short), and
-    the re-instanced rec1 readings take rep1 of the smaller instances from
-    earlier in the loop; one rep2 table gives rep2 (its end cell), which
-    serves the norm, pf, rec2 and every ave entry.  One convolution serves
-    pf and rec2 (rec2_rhs is that sum).  Each ave entry evaluates the rep2
-    and the norm already held at q: the two sides that
-    verify_average_representation compares.  Each q is taken to lie in
-    (0, 1); cmd_verify checks that before the suite starts.
-    The translation identity reads Z(start, end) from one interface forward
-    table per start in [-2, 2]^2 and every shifted Z(start - ref, end - ref)
-    from one per shifted start in [0, 4]^2: 50 sweeps for 1 225 checks.
-    """
-    entries: list[dict] = []
-    rep1_of: dict[tuple[int, int, int], LaurentPoly] = {}   # (K, L, N) -> rep1
-    for K in range(max_k + 1):
-        for L in range(max_l + 1):
-            scheme = PinnedRep1(K=K, L=L)
-            sites = K + L + 1
-            for N in range(sites + 1):
-                inst = PinnedInstance(K=K, L=L, N=N)
-                params = {"K": K, "L": L, "N": N, "M": inst.M}
-                nsq = spin.norm_squared(L, K, N)
-                end = Point(N, inst.M)
-                rep1_table = partition.forward_table(scheme, ORIGIN, end)
-                rep1 = rep1_of[K, L, N] = rep1_table[end]
-                rep2 = partition.pinned_rep2(inst)
-                entries.append(_report_entry(
-                    "norm-equality", params, nsq == rep1 == rep2, nsq, rep1))
-                conv = partition.pinned_via_convolution(inst)
-                entries.append(_report_entry("pf", params, rep2 == conv, rep2, conv))
-                entries.append(_report_entry("rec2", params, rep2 == conv, rep2, conv))
-                if N >= 1 and inst.M >= 1:
-                    # as partition.rec1_sides and rec1_readings read them; the chain
-                    # shrunk by a site was swept earlier in the loop, so a missing key
-                    # is a reading that is not well formed at this instance
-                    rhs1 = rep1_table[Point(N - 1, inst.M)] + rep1_table[Point(N, inst.M - 1)]
-                    readings = {}
-                    for label, K2, L2 in (("reinstanced_shrink_K", K - 1, L),
-                                          ("reinstanced_shrink_L", K, L - 1)):
-                        readings[label] = None
-                        if (K2, L2, N) in rep1_of:
-                            readings[label] = rep1 == rep1_of[K2, L2, N - 1] + rep1_of[K2, L2, N]
-                    entries.append(_report_entry(
-                        "rec1", {**params, "reading": "fixed-weights",
-                                 "alternative_readings": readings},
-                        rep1 == rhs1, rep1, rhs1))
-                for q0 in q_values:
-                    lhs, rhs = rep2.evaluate(q0), nsq.evaluate(q0)
-                    entries.append(_report_entry(
-                        "ave", {**params, "q0": str(q0), "s_reading": partition.AVE_READING},
-                        lhs == rhs, lhs, rhs))
-    # translation identity over the rectangles and reference points in [-2, 2]^2,
-    # as partition.translated_interface computes it
-    pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
-    names = {p: str(p) for p in pts}
-    interface = InterfaceXXZ()
-    shifted = {}   # (s, e) -> Z(s, e) for s <= e in [0, 4]^2; every one is read
-    for s in (Point(i, j) for i in range(5) for j in range(5)):
-        table = partition.forward_table(interface, s, Point(4, 4))
-        for e in table.values:
-            shifted[s, e] = table[e]
-    for start in pts:
-        table = partition.forward_table(interface, start, Point(2, 2))
-        for end in pts:
-            if not end.dominates(start):
-                continue
-            direct = table[end]
-            for ref in pts:
-                if not (ref.i <= start.i and ref.j <= start.j):
-                    continue
-                translated = LaurentPoly.q_power(2 * (ref.i + ref.j) * (end.i - start.i)) * \
-                    shifted[(start.i - ref.i, start.j - ref.j), (end.i - ref.i, end.j - ref.j)]
-                entries.append(_report_entry(
-                    "TF", {"I": names[start], "F": names[end], "P": names[ref]},
-                    direct == translated, direct, translated))
-    return entries
-
-
 def cmd_verify(args) -> int:
     if args.max_K < 0 or args.max_L < 0:
         raise UsageError(f"--max-K and --max-L must be nonnegative, got {args.max_K} and "
@@ -287,7 +199,7 @@ def cmd_verify(args) -> int:
     q_values = [parse_rational(t) for t in (args.q or ["3/10", "1/2", "4/5"])]
     if not all(0 < q0 < 1 for q0 in q_values):
         raise UsageError("q0 must lie in (0, 1)")
-    entries = identity_suite(args.max_K, args.max_L, q_values)
+    entries = partition.identity_suite(args.max_K, args.max_L, q_values)
     failures = [e for e in entries if not e["holds"]]
     by_identity: dict[str, list[dict]] = {}
     for e in entries:
@@ -324,13 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-K", type=int, default=None, help="chain extent right of the pin (rep1)")
         p.add_argument("-L", type=int, default=None, help="chain extent left of the pin (rep1)")
 
+    def add_points(p):
+        p.add_argument("--from", dest="frm", default="0,0",
+                       help="start point 'i,j' (default 0,0); write a negative one --from=-3,-4")
+        p.add_argument("--to", dest="to", required=True,
+                       help="end point 'i,j'; write a negative one --to=-1,-2")
+
     def add_format(p):
         p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = sub.add_parser("partition", help="partition function of a rectangle")
     add_scheme(p)
-    p.add_argument("--from", dest="frm", default="0,0", help="start point 'i,j'")
-    p.add_argument("--to", dest="to", required=True, help="end point 'i,j'")
+    add_points(p)
     add_format(p)
     p.set_defaults(func=cmd_partition)
 
@@ -342,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="conditioned partition and crossing probability")
     add_scheme(p)
-    p.add_argument("--from", dest="frm", default="0,0")
-    p.add_argument("--to", dest="to", required=True)
-    p.add_argument("--through", action="append", default=[], help="waypoint 'i,j' (repeatable)")
+    add_points(p)
+    p.add_argument("--through", action="append", default=[],
+                   help="waypoint 'i,j' (repeatable); write a negative one --through=-1,0")
     p.add_argument("--q", default=None, help="rational q as 'p/r'")
     p.set_defaults(func=cmd_correlate)
 
@@ -373,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw paths from the exact measure")
     add_scheme(p)
-    p.add_argument("--from", dest="frm", default="0,0")
-    p.add_argument("--to", dest="to", required=True)
+    add_points(p)
     p.add_argument("--q", required=True, help="rational q as 'p/r'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=10)

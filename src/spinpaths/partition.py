@@ -342,7 +342,12 @@ def translated_interface(start: Point, end: Point, ref: Point) -> LaurentPoly:
     shifted = partition_dp(InterfaceXXZ(),
                            Point(start.i - ref.i, start.j - ref.j),
                            Point(end.i - ref.i, end.j - ref.j))
-    return LaurentPoly.q_power(2 * (ref.i + ref.j) * (end.i - start.i)) * shifted
+    return _translation_factor(start, end, ref) * shifted
+
+
+def _translation_factor(start: Point, end: Point, ref: Point) -> LaurentPoly:
+    """q^(2(ref.i+ref.j)(end.i-start.i)): Z(start, end) over Z(start - ref, end - ref)."""
+    return LaurentPoly.q_power(2 * (ref.i + ref.j) * (end.i - start.i))
 
 
 # -- pinned-chain partition functions -----------------------------------------
@@ -394,10 +399,14 @@ def rec1_sides(inst: PinnedInstance) -> tuple[LaurentPoly, LaurentPoly]:
     """
     if inst.N < 1 or inst.M < 1:
         raise ValueError("rec1 needs N >= 1 and M >= 1")
-    table = forward_table(PinnedRep1(K=inst.K, L=inst.L), ORIGIN, Point(inst.N, inst.M))
-    lhs = table[Point(inst.N, inst.M)]
-    rhs = table[Point(inst.N - 1, inst.M)] + table[Point(inst.N, inst.M - 1)]
-    return lhs, rhs
+    return _rec1_sides(forward_table(PinnedRep1(K=inst.K, L=inst.L), ORIGIN,
+                                     Point(inst.N, inst.M)), inst)
+
+
+def _rec1_sides(table: PartitionTable, inst: PinnedInstance) -> tuple[LaurentPoly, LaurentPoly]:
+    """rec1_sides read from the instance's rep1 forward table."""
+    N, M = inst.N, inst.M
+    return table[Point(N, M)], table[Point(N - 1, M)] + table[Point(N, M - 1)]
 
 
 def rec1_readings(inst: PinnedInstance) -> dict:
@@ -410,20 +419,23 @@ def rec1_readings(inst: PinnedInstance) -> dict:
     well formed at this instance.
     """
     lhs, rhs = rec1_sides(inst)
-    out = {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M,
-           "fixed_weights": lhs == rhs,
-           "reinstanced_shrink_K": None, "reinstanced_shrink_L": None}
+    return {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M, "fixed_weights": lhs == rhs,
+            **_reinstanced_readings(inst, lhs, lambda K, L, N: pinned_rep1(
+                PinnedInstance(K=K, L=L, N=N)))}
+
+
+def _reinstanced_readings(inst: PinnedInstance, rep1: LaurentPoly,
+                          rep1_of: Callable[[int, int, int], LaurentPoly]) -> dict:
+    """The re-instanced rec1 readings of rec1_readings, given the instance's
+    rep1 and rep1_of(K, L, N), rep1 of a smaller chain.  The chain shrunk by
+    a site must hold N down spins (N >= 1 here, so N - 1 is a sector too)."""
+    readings = {}
     for label, K2, L2 in (("reinstanced_shrink_K", inst.K - 1, inst.L),
                           ("reinstanced_shrink_L", inst.K, inst.L - 1)):
-        if K2 < 0 or L2 < 0:
-            continue
-        sites2 = K2 + L2 + 1
-        if not (0 <= inst.N - 1 <= sites2 and 0 <= inst.N <= sites2):
-            continue
-        rhs = pinned_rep1(PinnedInstance(K=K2, L=L2, N=inst.N - 1)) + \
-            pinned_rep1(PinnedInstance(K=K2, L=L2, N=inst.N))
-        out[label] = lhs == rhs
-    return out
+        readings[label] = None
+        if K2 >= 0 and L2 >= 0 and inst.N <= K2 + L2 + 1:
+            readings[label] = rep1 == rep1_of(K2, L2, inst.N - 1) + rep1_of(K2, L2, inst.N)
+    return readings
 
 
 def rec2_rhs(inst: PinnedInstance) -> LaurentPoly:
@@ -449,13 +461,15 @@ def verify_rec2(inst: PinnedInstance) -> bool:
 
 def rep1_tables(inst: PinnedInstance, q0) -> tuple[PartitionTable, PartitionTable]:
     """The forward and backward first-representation tables over
-    [origin, (N, M)] at q = q0, which must lie in (0, 1)."""
+    [origin, (N, M)] at q = q0, which must lie in (0, 1); one encoding
+    serves both."""
     q0 = Fraction(q0)
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
-    scheme = PinnedRep1(K=inst.K, L=inst.L)
     end = Point(inst.N, inst.M)
-    return forward_table(scheme, ORIGIN, end, q0), backward_table(scheme, ORIGIN, end, q0)
+    codes, decode = _encoding(PinnedRep1(K=inst.K, L=inst.L), ORIGIN, end, q0)
+    return (PartitionTable(codes, decode, ORIGIN, end, 1),
+            PartitionTable(codes, decode, ORIGIN, end, -1))
 
 
 def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]:
@@ -490,18 +504,87 @@ def verify_average_representation(inst: PinnedInstance, q0) -> dict:
     q0 = Fraction(q0)
     if not 0 < q0 < 1:
         raise ValueError("q0 must lie in (0, 1)")
-    lhs = pinned_rep2(inst).evaluate(q0)
+    entry = _ave_entry(inst, q0, pinned_rep2(inst), norm_squared(inst.L, inst.K, inst.N))
     z_if = interface_closed_form(inst.N, inst.M).evaluate(q0)
-    rhs = norm_squared(inst.L, inst.K, inst.N).evaluate(q0)
-    holds = lhs == rhs
-    return {
-        "identity": "ave",
-        "parameters": {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M,
-                       "q0": str(q0), "s_reading": AVE_READING},
-        "holds": holds,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "ratio": str(lhs / rhs) if rhs else None,
-        "interface_partition": str(z_if),
-        "expectation": str(rhs / z_if),
-    }
+    lhs, rhs = entry["lhs"], entry["rhs"]
+    return {**entry, "lhs": str(lhs), "rhs": str(rhs),
+            "ratio": str(lhs / rhs) if rhs else None,
+            "interface_partition": str(z_if), "expectation": str(rhs / z_if)}
+
+
+def _ave_entry(inst: PinnedInstance, q0: Fraction, rep2: LaurentPoly, nsq: LaurentPoly) -> dict:
+    """The ave report entry, sides unrendered: rep2 and the squared norm at q0."""
+    lhs, rhs = rep2.evaluate(q0), nsq.evaluate(q0)
+    return _report_entry("ave", {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M,
+                                 "q0": str(q0), "s_reading": AVE_READING}, lhs == rhs, lhs, rhs)
+
+
+# -- the identity suite -------------------------------------------------------
+
+
+def _report_entry(identity: str, params: dict, holds: bool, lhs, rhs) -> dict:
+    return {"identity": identity, "parameters": params, "holds": bool(holds),
+            "lhs": lhs, "rhs": rhs}
+
+
+def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dict]:
+    """Run every identity on the (K, L) grid; one report entry per check, sides unrendered.
+
+    A check compares through the helper its public function uses, fed values
+    the suite holds.  Each distinct table is swept once per call; nothing
+    outlives the call.  Per pinned instance, one rep1 forward table gives
+    rep1 and both rec1 sides, and the re-instanced readings take rep1 of the
+    smaller chains from earlier in the loop; rep2 serves the norm, pf, rec2
+    and every ave entry, and one convolution serves pf and rec2 (rec2_rhs is
+    that sum).  Each q is taken to lie in (0, 1).  The translation identity
+    reads Z(start, end) from one interface forward table per start in
+    [-2, 2]^2 and every shifted Z from one per shifted start in [0, 4]^2:
+    50 sweeps for 1 225 checks.
+    """
+    entries: list[dict] = []
+    rep1_of: dict[tuple[int, int, int], LaurentPoly] = {}   # (K, L, N) -> rep1
+    for K in range(max_k + 1):
+        for L in range(max_l + 1):
+            scheme = PinnedRep1(K=K, L=L)
+            for N in range(K + L + 2):
+                inst = PinnedInstance(K=K, L=L, N=N)
+                params = {"K": K, "L": L, "N": N, "M": inst.M}
+                nsq = norm_squared(L, K, N)
+                rep1_table = forward_table(scheme, ORIGIN, Point(N, inst.M))
+                rep1 = rep1_of[K, L, N] = rep1_table[Point(N, inst.M)]
+                rep2 = pinned_rep2(inst)
+                entries.append(_report_entry(
+                    "norm-equality", params, nsq == rep1 == rep2, nsq, rep1))
+                conv = pinned_via_convolution(inst)
+                entries.extend(_report_entry(name, params, rep2 == conv, rep2, conv)
+                               for name in ("pf", "rec2"))
+                if N >= 1 and inst.M >= 1:
+                    lhs, rhs = _rec1_sides(rep1_table, inst)
+                    readings = _reinstanced_readings(inst, rep1, lambda *key: rep1_of[key])
+                    entries.append(_report_entry(
+                        "rec1", {**params, "reading": "fixed-weights",
+                                 "alternative_readings": readings}, lhs == rhs, lhs, rhs))
+                entries.extend(_ave_entry(inst, q0, rep2, nsq) for q0 in q_values)
+    pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    names = {p: str(p) for p in pts}
+    interface = InterfaceXXZ()
+    shifted = {}   # (s, e) -> Z(s, e) for s <= e in [0, 4]^2; every one is read
+    for s in (Point(i, j) for i in range(5) for j in range(5)):
+        table = forward_table(interface, s, Point(4, 4))
+        for e in table.values:
+            shifted[s, e] = table[e]
+    for start in pts:
+        table = forward_table(interface, start, Point(2, 2))
+        for end in pts:
+            if not end.dominates(start):
+                continue
+            direct = table[end]
+            for ref in pts:
+                if not (ref.i <= start.i and ref.j <= start.j):
+                    continue
+                translated = _translation_factor(start, end, ref) * \
+                    shifted[(start.i - ref.i, start.j - ref.j), (end.i - ref.i, end.j - ref.j)]
+                entries.append(_report_entry(
+                    "TF", {"I": names[start], "F": names[end], "P": names[ref]},
+                    direct == translated, direct, translated))
+    return entries

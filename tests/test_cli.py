@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import spinpaths
-from spinpaths import (InterfaceXXZ, LatticePath, LaurentPoly, PinnedInstance, Point,
-                       SamplerState, sample_paths)
+from spinpaths import (CorrelationQuery, InterfaceXXZ, LatticePath, LaurentPoly, PinnedInstance,
+                       PinnedRep2, Point, SamplerState, conditioned_partition, sample_paths)
 from spinpaths import partition, spin
-from spinpaths.cli import (_rendered, _report_entry, build_parser, identity_suite, main,
-                           parse_rational)
+from spinpaths.cli import _rendered, build_parser, main, parse_rational
+from spinpaths.partition import _report_entry, identity_suite
 from spinpaths.sampler import BLOCK
 
 
@@ -34,6 +34,13 @@ class TestPartitionCommand:
         assert payload["schema"] == "spinpaths/polynomial/1"
         assert LaurentPoly.from_json_obj(payload["terms"]) == \
             LaurentPoly({6: 1, 8: 1, 10: 1})
+
+    def test_negative_start_joined_by_equals(self, capsys):
+        # a separate '-3,-4' reads as an option, so such a point is written --from=-3,-4
+        code, out, _ = run(capsys, "partition", "--scheme", "rep2", "--from=-3,-4", "--to", "1,1")
+        assert code == 0
+        assert LaurentPoly.from_json_obj(json.loads(out)["terms"]) == \
+            partition.partition_dp(PinnedRep2(), Point(-3, -4), Point(1, 1))
 
     def test_rep1_requires_parameters(self, capsys):
         code, _, err = run(capsys, "partition", "--scheme", "rep1", "--to", "1,2")
@@ -91,6 +98,15 @@ class TestCorrelateCommand:
         payload = json.loads(out)
         assert payload["probability"]["numerator"] == "4"
         assert payload["probability"]["denominator"] == "5"
+
+    def test_negative_points_joined_by_equals(self, capsys):
+        # a separate '-2,-2' reads as an option, so such a point is written --from=-2,-2
+        code, out, _ = run(capsys, "correlate", "--scheme", "interface", "--from=-2,-2",
+                           "--to", "1,1", "--through=-1,0", "--q", "1/2")
+        assert code == 0
+        want = conditioned_partition(CorrelationQuery(InterfaceXXZ(), Point(-2, -2),
+                                                      Point(1, 1), (Point(-1, 0),)))
+        assert LaurentPoly.from_json_obj(json.loads(out)["conditioned"]["terms"]) == want
 
     def test_rejects_float_q(self, capsys):
         code, _, err = run(capsys, "correlate", "--scheme", "interface", "--to", "1,1",
@@ -328,6 +344,18 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "0ee7df4a373f7f8e8bb58d645989310cd819800738e5222dae6291684dcc4b7c"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--max-K", "5", "--max-L", "5", "--full"),
+         "4575caa1a98ced1029459d122bce11f4620fc44be28f570d9d2bd2edd44dbbcc"),
+        (("--max-K", "3", "--max-L", "2", "--q", "1/3", "--q", "9/10", "--full"),
+         "2d2be69a252dbc0b0f9fbff97ef52db69de051f6d18ecf5e8f01cab34958680b"),
+    ], ids=["5x5-full", "3x2-two-q-full"])
+    def test_report_bytes_at_more_grids(self, capsys, argv, digest):
+        # a dict comparison misses reordered keys, which change the JSON
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("grid", [("-1", "0"), ("0", "-1")])
     def test_negative_grid(self, capsys, grid):

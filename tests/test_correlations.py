@@ -162,6 +162,24 @@ def test_pinned_observables_sweep_two_tables(observable, monkeypatch):
         assert len(calls) == 2, inst
 
 
+def test_rep1_tables_encode_once(monkeypatch):
+    # both tables read one encoding of the same rectangle
+    calls = []
+    real = partition._encoding
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partition, "_encoding", counted)
+    fwd, bwd = rep1_tables(PinnedInstance(K=3, L=2, N=3), HALF)
+    assert len(calls) == 1
+    end = Point(3, 3)
+    scheme = PinnedRep1(K=3, L=2)
+    assert fwd.values == forward_table(scheme, ORIGIN, end, HALF).values
+    assert bwd.values == backward_table(scheme, ORIGIN, end, HALF).values
+
+
 def full_table_pinning(inst, q0):
     """pinning_distribution as it was read from both whole rep1 tables."""
     fwd, bwd = rep1_tables(inst, q0)
