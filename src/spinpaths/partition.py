@@ -124,42 +124,39 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     of one orientation whose tails lie on one diagonal s = i + j form a
     row (lo, codes), lo = max(start.i, s - tj) the lowest tail i on it and
     tj the highest tail j of that orientation, so the row holds exactly its
-    diagonal's bonds and the one with tail i is codes[i - lo].  A scheme
-    that weighs by diagonal is asked once per row, and its row repeats
-    that one code; any other is asked bond by bond.  The distinct weights
-    are keyed by their raw terms (hashing a LaurentPoly sorts them) and
-    encoded once each.
+    diagonal's bonds and the one with tail i is codes[i - lo].  A named
+    scheme gives one weight per row, 1 for a vertical bond and
+    q^h_exponent(s + 1) for a horizontal one, and its row repeats that one
+    code; any other is asked bond by bond.  The distinct weights are keyed
+    by their raw terms and encoded once each.
     """
     if end.i < start.i or end.j < start.j:
         zero = ZERO if q0 is None else Fraction(0)
         return {}, lambda n, a, b: zero
-    bond_weight = scheme.bond_weight
-    by_diagonal = scheme.by_diagonal
+    h_exponent = scheme.h_exponent
     i0, j0 = start
     i1, j1 = end
     di, dj = i1 - i0, j1 - j0
-    # orientation -> per tail diagonal, the raw terms of its one weight and its
-    # bond count, or the raw terms of its weights by i
-    asked = {}
+    # orientation -> per tail diagonal, a row (lo, keys, n): the raw terms of its
+    # weights by i from lo up, repeated n times; an orientation without bonds
+    # keeps empty rows, which nothing reads
+    rows = {H_STEP: [(0, (), 0)] * (di + dj), V_STEP: [(0, (), 0)] * (di + dj)}
     codes = {}   # (orientation, raw terms) -> its code
     for o, ti, tj in ((H_STEP, i1 - 1, j1), (V_STEP, i1, j1 - 1)):
         # the tails of the bonds of orientation o fill the rectangle [start, (ti, tj)]
         if ti < i0 or tj < j0:
             continue
-        rows = asked[o] = []
+        rows[o] = []
         for s in range(i0 + j0, ti + tj + 1):
             lo, hi = max(i0, s - tj), min(ti, s - j0)
-            if by_diagonal:
-                t = tuple(bond_weight(lo, s - lo, o)._terms.items())
+            if h_exponent is None:
+                keys, n = [tuple(scheme.bond_weight(i, s - i, o)._terms.items())
+                           for i in range(lo, hi + 1)], 1
+            else:
+                keys, n = [((h_exponent(s + 1), 1),) if o == H_STEP else ((0, 1),)], hi - lo + 1
+            for t in keys:
                 codes[o, t] = None
-                rows.append((lo, t, hi - lo + 1))
-                continue
-            row = []
-            for i in range(lo, hi + 1):
-                t = tuple(bond_weight(i, s - i, o)._terms.items())
-                codes[o, t] = None
-                row.append(t)
-            rows.append((lo, row))
+            rows[o].append((lo, keys, n))
     lows = {H_STEP: 0, V_STEP: 0}
     highs = {H_STEP: 0, V_STEP: 0}
     bound, signed = 1, False
@@ -200,14 +197,8 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
 
         def decode(n: int, a: int, b: int) -> Fraction:
             return Fraction(n, scale_h ** a * scale_v ** b)
-    # an orientation without bonds keeps empty rows, which nothing reads
-    table = {H_STEP: [(0, ())] * (di + dj), V_STEP: [(0, ())] * (di + dj)}
-    for o, rows in asked.items():
-        if by_diagonal:
-            table[o] = [(lo, [codes[o, t]] * n) for lo, t, n in rows]
-        else:
-            table[o] = [(lo, [codes[o, t] for t in row]) for lo, row in rows]
-    return table, decode
+    return {o: [(lo, [codes[o, t] for t in keys] * n) for lo, keys, n in rows[o]]
+            for o in rows}, decode
 
 
 def _odd_and_shift(n: int) -> tuple[int, int]:

@@ -60,7 +60,8 @@ class LaurentPoly:
         """The monomial q^exponent."""
         if type(exponent) is not int:
             return cls({exponent: 1})   # a bool or a non-int goes through the checks
-        # the weight schemes build one monomial per bond: skip the term checks
+        # _translation_factor builds one monomial per identity check, path_weight one
+        # per bond of an enumerated path: skip the term checks
         out = cls.__new__(cls)
         out._terms = {exponent: 1}
         return out

@@ -2,9 +2,10 @@
 
 A scheme is asked by coordinates: bond_weight(i, j, orientation) weighs
 the bond whose tail is (i, j), the point horizontal_bond/vertical_bond take.
-The named schemes weigh vertical bonds as 1, and a horizontal bond by a
-monomial in q determined by the diagonal of its right end (i+1, j), the
-head of the step; they declare that with ``by_diagonal``.
+The named schemes weigh every vertical bond as 1, and a horizontal bond as
+q^h_exponent(s), s = i + 1 + j the diagonal of its right end (i+1, j), the
+head of the step; bond_weight derives from that int, and the encoder reads
+it once per diagonal.
 Path weights are the product of bond weights, so weights multiply under
 path concatenation.
 """
@@ -26,9 +27,9 @@ class WeightScheme:
     """Base class: a rule assigning a monomial weight to every bond."""
 
     name = "abstract"
-    # True when a bond's weight depends only on its orientation and its
-    # tail's diagonal i + j, so one bond per diagonal stands for the rest
-    by_diagonal = False
+    # a named scheme's h_exponent(s), the exponent of the horizontal weight on
+    # the head diagonal s; None for a scheme that is asked bond by bond
+    h_exponent = None
 
     def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
         """Weight of the bond with tail (i, j) and orientation H_STEP or V_STEP."""
@@ -47,17 +48,23 @@ class WeightScheme:
         return w
 
 
+def _head_weight(scheme: WeightScheme, i: int, j: int, orientation: str) -> LaurentPoly:
+    """A named scheme's bond_weight: 1 for a vertical bond, and
+    q^h_exponent(i + 1 + j) for a horizontal one."""
+    if orientation != H_STEP:
+        return ONE
+    return LaurentPoly.q_power(scheme.h_exponent(i + 1 + j))
+
+
 @dataclass(frozen=True)
 class InterfaceXXZ(WeightScheme):
     """Horizontal bond with right end (i+1, j) weighs q^(2(i+1+j))."""
 
     name = "interface"
-    by_diagonal = True
+    bond_weight = _head_weight
 
-    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
-        if orientation != H_STEP:
-            return ONE
-        return LaurentPoly.q_power(2 * (i + 1 + j))
+    def h_exponent(self, s: int) -> int:
+        return 2 * s
 
 
 @dataclass(frozen=True)
@@ -73,20 +80,17 @@ class PinnedRep1(WeightScheme):
     L: int
 
     name = "rep1"
-    by_diagonal = True
+    bond_weight = _head_weight
 
     def __post_init__(self):
         if self.K < 0 or self.L < 0:
             raise ValueError("K and L must be nonnegative")
 
-    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
-        if orientation != H_STEP:
-            return ONE
-        s = i + 1 + j
+    def h_exponent(self, s: int) -> int:
         if s <= self.K:
-            return LaurentPoly.q_power(2 * s)
+            return 2 * s
         if s <= self.K + self.L + 1:
-            return LaurentPoly.q_power(2 * (self.K + self.L + 1) - 2 * s)
+            return 2 * (self.K + self.L + 1) - 2 * s
         raise OutOfDomain(f"bond at radius {s} exceeds K+L+1 = {self.K + self.L + 1}")
 
 
@@ -95,12 +99,10 @@ class PinnedRep2(WeightScheme):
     """Horizontal bond with right end (i+1, j) weighs q^(2|i+1+j|)."""
 
     name = "rep2"
-    by_diagonal = True
+    bond_weight = _head_weight
 
-    def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
-        if orientation != H_STEP:
-            return ONE
-        return LaurentPoly.q_power(2 * abs(i + 1 + j))
+    def h_exponent(self, s: int) -> int:
+        return 2 * abs(s)
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,15 @@ class CustomTable(WeightScheme):
 
 
 def scheme_from_name(name: str, K: int | None = None, L: int | None = None) -> WeightScheme:
-    """Resolve the CLI/config scheme names 'interface', 'rep1', 'rep2'."""
-    if name == "interface":
-        return InterfaceXXZ()
+    """Resolve the CLI/config scheme names 'interface', 'rep1', 'rep2'.
+
+    rep1 needs K and L; the other two take neither."""
     if name == "rep1":
         if K is None or L is None:
             raise ValueError("scheme 'rep1' requires K and L")
         return PinnedRep1(K=K, L=L)
-    if name == "rep2":
-        return PinnedRep2()
-    raise ValueError(f"unknown scheme {name!r}")
+    if name not in ("interface", "rep2"):
+        raise ValueError(f"unknown scheme {name!r}")
+    if K is not None or L is not None:
+        raise ValueError(f"scheme {name!r} takes no K or L")
+    return InterfaceXXZ() if name == "interface" else PinnedRep2()

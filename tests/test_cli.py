@@ -47,6 +47,28 @@ class TestPartitionCommand:
         assert code == 2
         assert "requires K and L" in err
 
+    # a column has no horizontal bond, so no exponent is asked, however tall
+    def test_rep1_column_past_its_domain(self, capsys):
+        code, out, err = run(capsys, "partition", "--scheme", "rep1", "-K", "1", "-L", "1",
+                             "--to", "0,9", "--format", "text")
+        assert (code, out, err) == (0, "1\n", "")
+
+    def test_rep1_horizontal_bond_past_its_domain(self, capsys):
+        code, out, err = run(capsys, "partition", "--scheme", "rep1", "-K", "1", "-L", "1",
+                             "--to", "1,9")
+        assert (code, out, err) == (2, "", "error: bond at radius 4 exceeds K+L+1 = 3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("partition", "--scheme", "interface", "-K", "3", "--to", "1,1"),
+        ("partition", "--scheme", "rep2", "-L", "3", "--to", "1,1"),
+        ("correlate", "--scheme", "interface", "-K", "3", "-L", "1", "--to", "1,1"),
+        ("sample", "--scheme", "rep2", "-K", "3", "--to", "1,1", "--q", "1/2"),
+    ])
+    def test_extents_only_for_rep1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: scheme '{argv[2]}' takes no K or L\n"
+
     def test_round_trip(self, capsys):
         _, out, _ = run(capsys, "partition", "--scheme", "rep1", "-K", "1", "-L", "1",
                         "--to", "1,2")

@@ -273,22 +273,25 @@ def test_packed_sweep_matches_dict_polynomial_sweep(data):
 class TestWeightCodes:
     @pytest.mark.parametrize("scheme", [InterfaceXXZ(), PinnedRep1(K=9, L=12), PinnedRep2()])
     def test_named_scheme_asked_once_per_diagonal(self, scheme, monkeypatch):
-        calls = []
-        real = type(scheme).bond_weight
+        asked = []
+        real = type(scheme).h_exponent
 
-        def counted(self, i, j, orientation):
-            calls.append((i + j, orientation))
-            return real(self, i, j, orientation)
+        def counted(self, s):
+            asked.append(s)
+            return real(self, s)
 
-        monkeypatch.setattr(type(scheme), "bond_weight", counted)
-        start, end = Point(-3, -2), Point(9, 7)   # 12 x 9: 234 bonds, 21 diagonals
+        def refused(self, i, j, orientation):
+            raise AssertionError("a named scheme is not asked bond by bond")
+
+        monkeypatch.setattr(type(scheme), "h_exponent", counted)
+        monkeypatch.setattr(type(scheme), "bond_weight", refused)
+        start, end = Point(-3, -2), Point(9, 7)   # 12 x 9: 234 bonds
         for q0 in (None, Fraction(1, 3)):
-            calls.clear()
-            forward_table(scheme, start, end, q0)
-            backward_table(scheme, start, end, q0)
-            # one call per orientation and tail diagonal, in each of the two sweeps
-            assert sorted(calls) == sorted(2 * [(s, o) for s in range(-5, 16)
-                                                for o in (H_STEP, V_STEP)])
+            for make in (forward_table, backward_table):
+                asked.clear()
+                make(scheme, start, end, q0).far_corner()
+                # once per head diagonal of a horizontal bond, s = -4..16
+                assert sorted(asked) == list(range(-4, 17))
 
     def test_custom_weights_varying_along_a_diagonal(self):
         # the three horizontal bonds and two vertical bonds with tails on the
@@ -353,6 +356,37 @@ class TestWeightCodes:
                     want = weight * table[head] if q0 is None else weight.evaluate(q0) * table[head]
                     got = table.times(i, j, o, table.values[head])
                     assert table._decode(got, end.i - i, end.j - j) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_named_scheme_encodes_as_its_custom_copy(data):
+    # the exponent path of the encoder against the per-bond path, int for int
+    start = Point(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+    end = start.translate(data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)))
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2"]))
+    if kind == "interface":
+        scheme = InterfaceXXZ()
+    elif kind == "rep2":
+        scheme = PinnedRep2()
+    else:
+        # every head lies within K+L+1
+        K = data.draw(st.integers(0, 8))
+        scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1) + data.draw(st.integers(0, 2)))
+    weights = {}
+    for i in range(start.i, end.i + 1):
+        for j in range(start.j, end.j + 1):
+            if i < end.i:
+                weights[horizontal_bond(Point(i, j))] = scheme.bond_weight(i, j, H_STEP)
+            if j < end.j:
+                weights[vertical_bond(Point(i, j))] = scheme.bond_weight(i, j, V_STEP)
+    copy = CustomTable(table=weights)
+    for q0 in (None, data.draw(open_unit_rationals)):
+        for make in (forward_table, backward_table):
+            table, copied = make(scheme, start, end, q0), make(copy, start, end, q0)
+            assert table._codes == copied._codes
+            assert table.values == copied.values
+        assert partition_dp(scheme, start, end, q0) == partition_dp(copy, start, end, q0)
 
 
 class TestZeroQ:

@@ -40,6 +40,18 @@ class TestBondWeight:
     def test_rep1_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             PinnedRep1(K=1, L=1).bond_weight(3, 0, H_STEP)
+        # a vertical bond weighs 1 at any radius
+        assert PinnedRep1(K=1, L=1).bond_weight(3, 0, V_STEP) == mono(0)
+
+    def test_exponent_by_head_diagonal(self):
+        assert [InterfaceXXZ().h_exponent(s) for s in (-2, 0, 3)] == [-4, 0, 6]
+        assert [PinnedRep2().h_exponent(s) for s in (-2, 0, 3)] == [4, 0, 6]
+        rep1 = PinnedRep1(K=2, L=1)
+        assert [rep1.h_exponent(s) for s in (-1, 0, 1, 2, 3, 4)] == [-2, 0, 2, 4, 2, 0]
+        with pytest.raises(OutOfDomain, match="bond at radius 5 exceeds K\\+L\\+1 = 4"):
+            rep1.h_exponent(5)
+        # a scheme without an exponent is asked bond by bond
+        assert CustomTable().h_exponent is None
 
     def test_interface_rep1_agree_inside_radius_k(self):
         interface, rep1 = InterfaceXXZ(), PinnedRep1(K=4, L=2)
@@ -100,6 +112,13 @@ def test_scheme_from_name():
         scheme_from_name("rep1")
     with pytest.raises(ValueError):
         scheme_from_name("nope")
+
+
+@pytest.mark.parametrize("name", ["interface", "rep2"])
+@pytest.mark.parametrize("K, L", [(3, None), (None, 0), (1, 1)])
+def test_scheme_without_extents_refuses_them(name, K, L):
+    with pytest.raises(ValueError, match=f"scheme '{name}' takes no K or L"):
+        scheme_from_name(name, K=K, L=L)
 
 
 def test_rep1_negative_parameters_rejected():
