@@ -20,6 +20,11 @@ from .weights import WeightScheme
 class DegenerateEnsemble(ValueError):
     """The normalizing partition function vanishes at the chosen q."""
 
+    @classmethod
+    def vanishing(cls, start: Point, end: Point, q0: Fraction) -> "DegenerateEnsemble":
+        """The error for a normalizer Z(start, end) that vanishes at q0."""
+        return cls(f"Z({start},{end}) = 0 at q = {q0}")
+
 
 @dataclass(frozen=True)
 class CorrelationQuery:
@@ -49,7 +54,7 @@ def crossing_probability(query: CorrelationQuery, q0) -> Fraction:
     q0 = Fraction(q0)
     z = partition_dp(query.scheme, query.start, query.end, q0)
     if z == 0:
-        raise DegenerateEnsemble(f"Z({query.start},{query.end}) = 0 at q = {q0}")
+        raise DegenerateEnsemble.vanishing(query.start, query.end, q0)
     return conditioned_partition(query, q0) / z
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .lattice import H_STEP, Point, V_STEP, enumerate_paths
 from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, numerator, pack, unpack
-from .spin import PinnedInstance, norm_squared
+from .spin import PinnedInstance, check_q, norm_squared
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
 ORIGIN = Point(0, 0)
@@ -70,10 +70,9 @@ class PartitionTable:
         """Every cell of the rectangle by point, swept on first use."""
         return {(i, s - i): n for s, lo, cells in self.sweep() for i, n in enumerate(cells, lo)}
 
-    def sweep(self, radius: int | None = None):
-        """The diagonals out to the sphere of the given radius about the
-        origin, one at a time (see _sweep)."""
-        return _sweep(self, radius)
+    def sweep(self):
+        """The diagonals from the origin out, one at a time (see _sweep)."""
+        return _sweep(self)
 
     def times(self, i: int, j: int, orientation: str, n: int) -> int:
         """n times the encoded weight of the bond with tail (i, j), which
@@ -207,17 +206,17 @@ def _odd_and_shift(n: int) -> tuple[int, int]:
     return n >> k, k
 
 
-def _sweep(table: PartitionTable, radius: int | None = None):
+def _sweep(table: PartitionTable):
     """Sphere sweep of the table's rectangle outward from its origin corner,
     as a generator.
 
-    Yields the diagonals i + j = s from the origin's out to the sphere of
-    the given radius about it (the far corner by default), each as
-    (s, lo, cells): cells[i - lo] is the cell at (i, s - i), an int in the
-    table's encoding, from the lowest i on the diagonal, lo, up.  An empty
-    rectangle yields nothing.  Each diagonal reads only the one yielded
-    before it and the weight codes of one row, so a consumer keeps what it
-    reads and no more; a yielded list is not changed afterwards.
+    Yields the diagonals i + j = s from the origin's out to the far corner's,
+    each as (s, lo, cells): cells[i - lo] is the cell at (i, s - i), an int
+    in the table's encoding, from the lowest i on the diagonal, lo, up.  An
+    empty rectangle yields nothing.  Each diagonal reads only the one yielded
+    before it and the weight codes of one row, so a reader keeps what it
+    reads and no more, and one that stops reading stops the sweep there; a
+    yielded list is not changed afterwards.
     """
     i0, j0 = table._start
     i1, j1 = table._end
@@ -232,7 +231,7 @@ def _sweep(table: PartitionTable, radius: int | None = None):
     # start, the cell itself when growing from end; either way both tails
     # of a cell's bonds lie on one diagonal
     lag = 1 if step == 1 else 0
-    for r in range(1, (i1 - i0) + (j1 - j0) + 1 if radius is None else radius + 1):
+    for r in range(1, (i1 - i0) + (j1 - j0) + 1):
         s = oi + oj + step * r   # the diagonal i + j = s, in increasing i
         # a row starts at its diagonal's lowest tail; i minus these offsets
         # indexes a cell's bonds and its two neighbours in prev
@@ -454,9 +453,7 @@ def rep1_tables(inst: PinnedInstance, q0) -> tuple[PartitionTable, PartitionTabl
     """The forward and backward first-representation tables over
     [origin, (N, M)] at q = q0, which must lie in (0, 1); one encoding
     serves both."""
-    q0 = Fraction(q0)
-    if not 0 < q0 < 1:
-        raise ValueError("q0 must lie in (0, 1)")
+    q0 = check_q(Fraction(q0))
     end = Point(inst.N, inst.M)
     codes, decode = _encoding(PinnedRep1(K=inst.K, L=inst.L), ORIGIN, end, q0)
     return (PartitionTable(codes, decode, ORIGIN, end, 1),
@@ -471,12 +468,12 @@ def pinning_distribution(inst: PinnedInstance, q0) -> list[tuple[int, Fraction]]
     through-point ratios, so the probabilities sum to 1 exactly.
     """
     fwd, bwd = rep1_tables(inst, q0)
-    # both sweeps stop at the sphere of radius K.  A path through a point splits
-    # into a forward and a backward part, so their encoded product scales as Z
-    # does; every path crosses the sphere once, so those products sum to Z, and
-    # each ratio is taken in ints
-    _, lo, f = _last(fwd.sweep(inst.K))
-    _, _, b = _last(bwd.sweep(inst.N + inst.M - inst.K))
+    # both sweeps stop at the sphere of radius K, as their reader stops there.  A
+    # path through a point splits into a forward and a backward part, so their
+    # encoded product scales as Z does; every path crosses the sphere once, so
+    # those products sum to Z, and each ratio is taken in ints
+    _, lo, f = _last(itertools.islice(fwd.sweep(), inst.K + 1))
+    _, _, b = _last(itertools.islice(bwd.sweep(), inst.N + inst.M - inst.K + 1))
     through = [x * y for x, y in zip(f, b)]
     z = sum(through)
     return [(n, Fraction(w, z)) for n, w in enumerate(through, lo)]
@@ -492,9 +489,7 @@ def verify_average_representation(inst: PinnedInstance, q0) -> dict:
     e_N of q0^(2|x|) over the sites x in [-L, K], the squared norm at q0.
     Both sides are exact rationals; the report carries their exact ratio.
     """
-    q0 = Fraction(q0)
-    if not 0 < q0 < 1:
-        raise ValueError("q0 must lie in (0, 1)")
+    q0 = check_q(Fraction(q0))
     entry = _ave_entry(inst, q0, pinned_rep2(inst), norm_squared(inst.L, inst.K, inst.N))
     z_if = interface_closed_form(inst.N, inst.M).evaluate(q0)
     lhs, rhs = entry["lhs"], entry["rhs"]
@@ -527,11 +522,14 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dic
     rep1 and both rec1 sides, and the re-instanced readings take rep1 of the
     smaller chains from earlier in the loop; rep2 serves the norm, pf, rec2
     and every ave entry, and one convolution serves pf and rec2 (rec2_rhs is
-    that sum).  Each q is taken to lie in (0, 1).  The translation identity
-    reads Z(start, end) from one interface forward table per start in
-    [-2, 2]^2 and every shifted Z from one per shifted start in [0, 4]^2:
-    50 sweeps for 1 225 checks.
+    that sum).  The translation identity reads Z(start, end) from one
+    interface forward table per start in [-2, 2]^2 and every shifted Z from
+    one per shifted start in [0, 4]^2: 50 sweeps for 1 225 checks.  A
+    negative max_k or max_l, or a q outside (0, 1), is refused before that.
     """
+    if max_k < 0 or max_l < 0:
+        raise ValueError(f"max_K and max_L must be nonnegative, got {max_k} and {max_l}")
+    q_values = [check_q(q0) for q0 in q_values]
     entries: list[dict] = []
     rep1_of: dict[tuple[int, int, int], LaurentPoly] = {}   # (K, L, N) -> rep1
     for K in range(max_k + 1):

@@ -62,9 +62,7 @@ class LaurentPoly:
             return cls({exponent: 1})   # a bool or a non-int goes through the checks
         # _translation_factor builds one monomial per identity check, path_weight one
         # per bond of an enumerated path: skip the term checks
-        out = cls.__new__(cls)
-        out._terms = {exponent: 1}
-        return out
+        return _unchecked({exponent: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -101,16 +99,12 @@ class LaurentPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _unchecked(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _unchecked({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = _coerce(other)
@@ -153,9 +147,7 @@ class LaurentPoly:
                         terms[e] = s
                     else:
                         terms.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _unchecked(terms)
 
     __rmul__ = __mul__
 
@@ -258,6 +250,13 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _unchecked(terms: dict[int, int]) -> LaurentPoly:
+    """A LaurentPoly holding terms as given, unchecked: int keys and values, none 0."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out
 
 
 def _coerce(value) -> LaurentPoly:
@@ -365,10 +364,8 @@ def unpack(n: int, width: int, stride: int, shift: int, signed: bool) -> Laurent
     n >>= width * empty
     shift += stride * empty
     half = 1 << (width - 1) if signed else 0
-    out = LaurentPoly.__new__(LaurentPoly)
     if -half <= n < (1 << width) - half:
-        out._terms = {shift: n}   # one slot left: n is its coefficient
-        return out
+        return _unchecked({shift: n})   # one slot left: n is its coefficient
     if signed:
         # adding 2^(width-1) to every slot makes each one a plain unsigned field; a
         # top slot of 1 over a lower slot near -2^(width-1) leaves n one bit short
@@ -383,8 +380,7 @@ def unpack(n: int, width: int, stride: int, shift: int, signed: bool) -> Laurent
         c = int(bits[k:k + width], 2) - half
         if c:
             terms[top - stride * (k // width)] = c
-    out._terms = terms
-    return out
+    return _unchecked(terms)
 
 
 def qsquare_factorial_product(k: int) -> LaurentPoly:

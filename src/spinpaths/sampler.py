@@ -76,7 +76,7 @@ class SamplerState:
                     row[i - start.i] = h / z_here   # int true division rounds correctly
             above, above_lo = cells, lo
         if above[0] == 0:   # the last diagonal is the start cell
-            raise DegenerateEnsemble(f"Z{start}->{end} = 0 at q = {q0}")
+            raise DegenerateEnsemble.vanishing(start, end, q0)
         self.diag = diag
         self._open_stream(np.random.Generator(np.random.Philox(key=seed)))
 

@@ -2,8 +2,8 @@
 ground-state amplitudes, the squared norm, the spin to path bijections, and
 a matrix-free Hamiltonian oracle.
 
-PinnedInstance owns the sector's rule (K, L >= 0 and N in [0, K+L+1]);
-every function here that takes a sector reads its sites from it.
+PinnedInstance owns the sector's rule (K, L >= 0 and N in [0, K+L+1]), and
+everything that takes a chain reads its sites from it; check_q owns 0 < q < 1.
 
 The combinatorial layer stays exact (amplitudes are monomials in q); the
 Hamiltonian oracle deliberately works in floating point, since its only
@@ -31,6 +31,13 @@ NORM_ADDITION_LIMIT = 10**8
 SECTOR_DIMENSION_LIMIT = 4096
 
 
+def check_q(q0):
+    """q0 itself, if it lies in (0, 1), where the chain is stated."""
+    if not 0 < q0 < 1:
+        raise ValueError("q0 must lie in (0, 1)")
+    return q0
+
+
 @dataclass(frozen=True)
 class PinnedInstance:
     """A pinned chain on sites [-L, K] with N down spins (M = K+L+1-N up)."""
@@ -56,17 +63,17 @@ class PinnedInstance:
 
 @dataclass(frozen=True)
 class SpinConfig:
-    """Occupation word alpha_x over sites x in [-L, K]; 1 means down spin."""
+    """Occupation word alpha_x over the sites x in [-L, K] of a
+    PinnedInstance's chain (so K, L >= 0); 1 means down spin."""
 
     L: int
     K: int
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        if self.L < 0 or self.K < 0:
-            raise ValueError("K and L must be nonnegative")
-        if len(self.alpha) != self.L + self.K + 1:
-            raise ValueError(f"need {self.L + self.K + 1} sites, got {len(self.alpha)}")
+        sites = PinnedInstance(K=self.K, L=self.L, N=0).sites
+        if len(self.alpha) != sites:
+            raise ValueError(f"need {sites} sites, got {len(self.alpha)}")
         if any(a not in (0, 1) for a in self.alpha):
             raise ValueError("occupations must be 0 or 1")
 
@@ -261,8 +268,7 @@ def build_hamiltonian(L: int, K: int, N: int, q0: float) -> HamiltonianOracle:
     aligned pairs are annihilated; (down, up) and (up, down) mix with
     diagonal weights q/(q+1/q) and (1/q)/(q+1/q) and off-diagonal -1/(q+1/q).
     """
-    if not 0.0 < q0 < 1.0:
-        raise ValueError("q0 must lie in (0, 1)")
+    check_q(q0)
     if not math.isfinite(1 / q0):
         raise ValueError(f"1/q0 overflows a float at q0 = {q0}")
     sites = PinnedInstance(K=K, L=L, N=N).sites

@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .lattice import Bond, H_STEP, LatticePath
 from .qpoly import LaurentPoly, ONE
+from .spin import PinnedInstance
 
 
 class OutOfDomain(ValueError):
@@ -83,8 +84,7 @@ class PinnedRep1(WeightScheme):
     bond_weight = _head_weight
 
     def __post_init__(self):
-        if self.K < 0 or self.L < 0:
-            raise ValueError("K and L must be nonnegative")
+        PinnedInstance(K=self.K, L=self.L, N=0)   # the chain's rule on K and L
 
     def h_exponent(self, s: int) -> int:
         if s <= self.K:

@@ -195,6 +195,13 @@ class TestSampleCommand:
         assert code == 0
         assert json.loads(err)["distinct"] == len(set(out.splitlines())) > 1
 
+    def test_cells_of_zero_weight_are_never_entered(self, capsys):
+        # at q = 0 a rep2 path weighs 1 only if its one H step ends on the
+        # diagonal 0, so the cell (-1,1), whose H step ends on diagonal 1, has Z = 0
+        code, out, _ = run(capsys, "sample", "--scheme", "rep2", "--from=-1,-1", "--to", "0,1",
+                           "--q", "0", "--n", "5")
+        assert code == 0 and out == "(-1,-1):VHV\n" * 5
+
     def test_negative_count(self, capsys):
         code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
                              "--q", "1/2", "--n", "-3")
@@ -305,6 +312,22 @@ class TestIdentitySuite:
         # 50 translation tables, then per instance one rep1 and one rep2 table;
         # the slow path sweeps over 1 450 tables here
         assert len(calls) <= 50 + 2 * len(instances)
+
+    @pytest.mark.parametrize("max_k, max_l, q_values, message", [
+        (-1, 0, [Fraction(1, 2)], "max_K and max_L must be nonnegative, got -1 and 0"),
+        (0, -2, [Fraction(1, 2)], "max_K and max_L must be nonnegative, got 0 and -2"),
+        (1, 1, [Fraction(3, 2)], "q0 must lie in (0, 1)"),
+        (1, 1, [Fraction(1, 2), Fraction(0)], "q0 must lie in (0, 1)"),
+    ])
+    def test_refuses_its_input_before_any_sweep(self, monkeypatch, max_k, max_l, q_values,
+                                                message):
+        def refused(*args):
+            raise AssertionError("swept a table before checking the input")
+
+        monkeypatch.setattr(partition, "_sweep", refused)
+        with pytest.raises(ValueError) as exc:
+            identity_suite(max_k, max_l, q_values)
+        assert str(exc.value) == message
 
 
 class TestVerifyCommand:
@@ -441,12 +464,30 @@ class TestCleanExits:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "q = 0" in err
 
+    @pytest.mark.parametrize("command", ["correlate", "sample"])
+    def test_vanishing_normalizer(self, capsys, command):
+        # at q = 0 a rep2 path weighs 0 unless each H step ends on the diagonal 0,
+        # which at most one step of a monotone path does
+        code, out, err = run(capsys, command, "--scheme", "rep2", "--from=-2,-2", "--to=2,2",
+                             "--q", "0")
+        assert (code, out, err) == (2, "", "error: Z((-2,-2),(2,2)) = 0 at q = 0\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("profile", "-K", "1", "-L", "1", "-N", "1", "--q", "abc"),
+                     "cannot parse rational 'abc'", id="profile-q"),
+        pytest.param(("hamiltonian", "-K", "1", "-L", "1"),
+                     "hamiltonian needs -N (or --config)", id="hamiltonian-no-N"),
+    ])
+    def test_refused_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_internal_failure_exits_one(self, capsys, monkeypatch):
         # the start cell (0, 0): the last diagonal the sampler's backward sweep yields
         real = partition._sweep
 
-        def corrupted(table, radius=None):
-            for s, lo, cells in real(table, radius):
+        def corrupted(table):
+            for s, lo, cells in real(table):
                 if s == 0:
                     cells[0] += 1
                 yield s, lo, cells

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from spinpaths import EnsembleTooLarge, LatticePath, Point, enumerate_paths, sphere
-from spinpaths.lattice import PATH_ENUMERATION_LIMIT
+from spinpaths.lattice import H_STEP, PATH_ENUMERATION_LIMIT, V_STEP, Bond
 
 
 class TestEndpoint:
@@ -70,6 +70,15 @@ class TestSphere:
                 assert sum(1 for q in sphere(start, radius) if q in pts) == 1
 
 
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            sphere(Point(0, 0), -1)
+
+    def test_unknown_direction(self):
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            sphere(Point(0, 0), 1, "sideways")
+
+
 class TestPassesThrough:
     def test_hv_hits_corner(self):
         assert LatticePath(Point(0, 0), "HV").passes_through(Point(1, 0))
@@ -99,6 +108,12 @@ class TestBonds:
 
     def test_empty(self):
         assert LatticePath(Point(0, 0), "").bonds() == []
+
+    @pytest.mark.parametrize("head, orientation", [
+        (Point(1, 0), V_STEP), (Point(0, 1), H_STEP), (Point(1, 1), H_STEP), (Point(1, 0), "X")])
+    def test_orientation_must_match_the_ends(self, head, orientation):
+        with pytest.raises(ValueError, match="does not match"):
+            Bond(Point(0, 0), head, orientation)
 
     def test_vh_bonds(self):
         bonds = LatticePath(Point(0, 0), "VH").bonds()

@@ -160,7 +160,7 @@ class TestStreamedSweep:
         for make in (forward_table, backward_table):
             table = make(scheme, ORIGIN, end, Fraction(2, 5))
             for radius in range(end.i + end.j + 1):
-                diagonals = list(table.sweep(radius))
+                diagonals = list(itertools.islice(table.sweep(), radius + 1))
                 assert len(diagonals) == radius + 1
                 for s, lo, cells in diagonals:
                     assert cells == [table.values[i, s - i] for i in range(lo, lo + len(cells))]
@@ -706,6 +706,10 @@ class TestAverageRepresentation:
                     for q0 in (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)):
                         report = verify_average_representation(inst, q0)
                         assert report["holds"], report
+
+    def test_q_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^q0 must lie in \(0, 1\)$"):
+            verify_average_representation(PinnedInstance(K=1, L=1, N=1), Fraction(3, 2))
 
     def test_report_shape(self):
         report = verify_average_representation(PinnedInstance(K=1, L=2, N=2), Fraction(1, 2))

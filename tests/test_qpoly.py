@@ -284,6 +284,49 @@ class TestValueContracts:
         assert ONE == True  # noqa: E712 - bool is compared as the int it equals
         assert ONE + True == poly({0: 2})
 
+    @given(polys, polys, st.integers(-9, 9))
+    def test_subtraction_adds_the_negation(self, a, b, n):
+        assert a - b == a + (-b)
+        assert -(-a) == a
+        assert (a - b) + b == a
+        assert n - a == -(a - n)
+
+    @given(polys, polys)
+    def test_equal_polys_hash_equal(self, a, b):
+        c = (a + b) - b   # equal to a, built apart from it
+        assert c == a and hash(c) == hash(a)
+        assert len({a, c}) == 1
+
+    @given(st.integers(-2**70, 2**70), polys)
+    def test_constant_equals_and_hashes_like_its_int(self, n, a):
+        c = (a + n) - a
+        assert c == n and n == c and hash(c) == hash(n)
+        assert len({c, n}) == 1
+
+    @given(polys)
+    def test_repr_round_trips(self, a):
+        assert eval(repr(a), {"LaurentPoly": LaurentPoly}) == a
+        assert len(a) == len(a.items())
+
+    @given(polys)
+    def test_foreign_operands_are_not_implemented(self, a):
+        for op in (lambda: a + "x", lambda: a - "x", lambda: "x" - a, lambda: a * "x"):
+            with pytest.raises(TypeError):
+                op()
+        assert (a == "x") is False
+
+
+class TestRefusals:
+    def test_factorial_product_of_a_negative_count(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            qsquare_factorial_product(-1)
+
+    def test_zero_has_no_degree_or_valuation(self):
+        with pytest.raises(ValueError, match="zero polynomial has no degree"):
+            ZERO.degree()
+        with pytest.raises(ValueError, match="zero polynomial has no valuation"):
+            ZERO.valuation()
+
 
 @given(st.integers(2, 12), st.integers(1, 3), st.integers(-20, 20), st.data())
 @example(4, 1, 0, None)

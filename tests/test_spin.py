@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from spinpaths import (EnsembleTooLarge, LaurentPoly, PinnedRep1, PinnedRep2,
                        verify_ground_state)
 from spinpaths import spin
 from spinpaths.partition import PinnedInstance
-from spinpaths.spin import ground_state_vector
+from spinpaths.spin import check_q, ground_state_vector
 
 
 def mono(e):
@@ -318,5 +319,19 @@ def test_spin_config_validation():
         SpinConfig(1, 1, (0, 1))
     with pytest.raises(ValueError):
         SpinConfig(1, 1, (0, 2, 0))
+    for L, K in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="^K and L must be nonnegative$"):
+            SpinConfig(L, K, (0,))
     config = SpinConfig(1, 2, (1, 0, 1, 0))
     assert config.at(-1) == 1 and config.at(1) == 1 and config.down_count == 2
+
+
+class TestCheckQ:
+    @pytest.mark.parametrize("q0", [0.3, Fraction(1, 2), Fraction(999, 1000)])
+    def test_returns_q_unchanged(self, q0):
+        assert check_q(q0) is q0
+
+    @pytest.mark.parametrize("q0", [0, 1, Fraction(3, 2), -0.5, 0.0, 1.0, float("nan")])
+    def test_refuses_q_outside_the_unit_interval(self, q0):
+        with pytest.raises(ValueError, match=r"^q0 must lie in \(0, 1\)$"):
+            check_q(q0)

@@ -8,6 +8,10 @@ from spinpaths import (CustomTable, InterfaceXXZ, LatticePath, LaurentPoly,
                        enumerate_paths, scheme_from_name)
 from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
 
+bond_weights = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([H_STEP, V_STEP])),
+    st.integers(-4, 4), max_size=6)
+
 
 def mono(e):
     return LaurentPoly.q_power(e)
@@ -102,6 +106,18 @@ class TestCustomTable:
         bond = vertical_bond(Point(0, 0))
         scheme = CustomTable(table={bond: LaurentPoly({0: 3})})
         assert scheme.path_weight(LatticePath(Point(0, 0), "V")) == LaurentPoly({0: 3})
+
+    @given(bond_weights, st.integers(-4, 4))
+    def test_equal_tables_are_equal_and_hash_equal(self, weights, default):
+        def build(items):
+            table = {(horizontal_bond if o == H_STEP else vertical_bond)(Point(i, j)): mono(e)
+                     for (i, j, o), e in items}
+            return CustomTable(table=table, default=mono(default))
+
+        items = list(weights.items())
+        a, b = build(items), build(items[::-1])   # equal tables, built in two orders
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 def test_scheme_from_name():
