@@ -38,12 +38,13 @@ class PartitionTable:
     Kronecker-packed Laurent polynomial, or at a fixed q0 = p/r the value
     times int scales.  Every bond of the rectangle has an encoded weight, so
     a cell is W_h * (its horizontal neighbour) + W_v * (its vertical
-    neighbour) in plain ints; ``times`` forms such a product.  The codes of
-    one orientation come in rows, one per tail diagonal, each a pair
-    (lo, codes) with lo the lowest tail i on it, so the bond with tail
-    (i, j) is codes[i - lo].  Reading a point decodes its int into a
-    LaurentPoly, or into a Fraction when the table was swept at a fixed q;
-    points off the rectangle read as that ring's 0.
+    neighbour) in plain ints; ``times`` forms such a product.  A named
+    scheme's table holds one code per tail diagonal, the weight of its
+    horizontal bonds, and weighs a vertical bond as 1; any other holds, per
+    orientation and tail diagonal, a row (lo, codes) with lo the lowest tail
+    i on it, so the bond with tail (i, j) is codes[i - lo].  Reading a point
+    decodes its int into a LaurentPoly, or into a Fraction when the table
+    was swept at a fixed q; points off the rectangle read as that ring's 0.
 
     A table sweeps when it is first read, not when it is built, so a caller
     that needs one cell, such as partition_dp, holds no others.  ``values``,
@@ -52,12 +53,13 @@ class PartitionTable:
     ``far_corner`` reads Z(start, end) through it.
     """
 
-    def __init__(self, codes: dict[str, list[tuple[int, list[tuple[int, int]]]]],
+    def __init__(self, codes: list | dict,
                  decode: Callable[[int, int, int], LaurentPoly | Fraction],
                  start: Point, end: Point, step: int):
-        # codes[orientation][d]: the row (lo, codes) of the bonds whose tails lie
-        # on the diagonal i + j = start.i + start.j + d, their encoded weights
-        # (m, k), the ints m << k, from the lowest tail i, lo, up (see _encoding)
+        # an encoded weight (m, k) is the int m << k.  codes[d] of a named scheme is
+        # the horizontal weight on the tail diagonal i + j = start.i + start.j + d;
+        # codes[orientation][d] of any other is that diagonal's row (lo, codes) of
+        # bonds, from the lowest tail i, lo, up (see _encoding)
         self._codes = codes
         self._decode = decode
         self._start = start
@@ -76,9 +78,17 @@ class PartitionTable:
 
     def times(self, i: int, j: int, orientation: str, n: int) -> int:
         """n times the encoded weight of the bond with tail (i, j), which
-        must lie on the rectangle."""
-        lo, codes = self._codes[orientation][i + j - self._start.i - self._start.j]
-        m, k = codes[i - lo]
+        must lie on the rectangle.  A named scheme's table reads its
+        diagonal's one code for a horizontal bond and returns n for a
+        vertical one."""
+        d = i + j - self._start.i - self._start.j
+        if isinstance(self._codes, list):
+            if orientation != H_STEP:
+                return n
+            m, k = self._codes[d]
+        else:
+            lo, codes = self._codes[orientation][d]
+            m, k = codes[i - lo]
         return (m * n) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
@@ -116,30 +126,46 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     - At q0 = p/r, with D_o = max(0, highest exponent), a weight is its
       value times the int S_o = p^(-V_o) * r^(D_o), and the value above
       reads N / (S_h^a * S_v^b).
-    Offsets per orientation leave a weight of 1, such as every vertical
-    weight of the named schemes, encoded as 1.  An encoded weight is
-    stored as (m, k), the int m << k with m odd, so a product by a power
-    of 2, such as a monomial's code, is a shift.  The codes of the bonds
-    of one orientation whose tails lie on one diagonal s = i + j form a
-    row (lo, codes), lo = max(start.i, s - tj) the lowest tail i on it and
-    tj the highest tail j of that orientation, so the row holds exactly its
-    diagonal's bonds and the one with tail i is codes[i - lo].  A named
-    scheme gives one weight per row, 1 for a vertical bond and
-    q^h_exponent(s + 1) for a horizontal one, and its row repeats that one
-    code; any other is asked bond by bond.  The distinct weights are keyed
-    by their raw terms and encoded once each.
+    Offsets per orientation leave a weight of 1 encoded as 1.  An encoded
+    weight is stored as (m, k), the int m << k with m odd, so a product by
+    a power of 2, such as a monomial's code, is a shift.  A named scheme
+    weighs a vertical bond as 1 and a horizontal one with tail on the
+    diagonal s = i + j as q^h_exponent(s + 1), so its codes are a list of
+    those, one per tail diagonal, built from the ints alone: (1, w * (e -
+    V_h) / g) packed, and p^(e - V_h) * r^(D_h - e) at q0.  Any other is
+    asked bond by bond, and the codes of the bonds of one orientation whose
+    tails lie on one diagonal s form a row (lo, codes), lo = max(start.i,
+    s - tj) the lowest tail i on it and tj the highest tail j of that
+    orientation, so the one with tail i is codes[i - lo]; its distinct
+    weights are keyed by their raw terms and encoded once each.
     """
     if end.i < start.i or end.j < start.j:
         zero = ZERO if q0 is None else Fraction(0)
         return {}, lambda n, a, b: zero
-    h_exponent = scheme.h_exponent
     i0, j0 = start
     i1, j1 = end
     di, dj = i1 - i0, j1 - j0
-    # orientation -> per tail diagonal, a row (lo, keys, n): the raw terms of its
-    # weights by i from lo up, repeated n times; an orientation without bonds
-    # keeps empty rows, which nothing reads
-    rows = {H_STEP: [(0, (), 0)] * (di + dj), V_STEP: [(0, (), 0)] * (di + dj)}
+    if scheme.h_exponent is not None:
+        # a table without horizontal bonds asks no exponent: its 1s meet only padding
+        exps = [scheme.h_exponent(s + 1) for s in range(i0 + j0, i1 + j1)] if di else [0] * dj
+        low, high = min([0, *exps]), max([0, *exps])
+        if q0 is None:
+            # not gcd(*...): CPython 3.11 keeps each freed *args tuple of a new
+            # length on its free list, and the peak memory of a long run creeps
+            stride = functools.reduce(math.gcd, [e - low for e in exps], 0) or 1
+            width = math.comb(di + dj, di).bit_length()
+            return ([(1, width * (e - low) // stride) for e in exps],
+                    lambda n, a, b: unpack(n, width, stride, a * low, False))
+        p, r = q0.numerator, q0.denominator
+        if p == 0 and low < 0:
+            raise ZeroToNegativePower("negative power of q at q = 0")
+        scale = p ** -low * r ** high
+        return ([_odd_and_shift(p ** (e - low) * r ** (high - e)) for e in exps],
+                lambda n, a, b: Fraction(n, scale ** a))
+    # orientation -> per tail diagonal, a row (lo, keys): the raw terms of its
+    # weights by i from lo up; an orientation without bonds keeps empty rows,
+    # which nothing reads
+    rows = {H_STEP: [(0, ())] * (di + dj), V_STEP: [(0, ())] * (di + dj)}
     codes = {}   # (orientation, raw terms) -> its code
     for o, ti, tj in ((H_STEP, i1 - 1, j1), (V_STEP, i1, j1 - 1)):
         # the tails of the bonds of orientation o fill the rectangle [start, (ti, tj)]
@@ -148,14 +174,11 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
         rows[o] = []
         for s in range(i0 + j0, ti + tj + 1):
             lo, hi = max(i0, s - tj), min(ti, s - j0)
-            if h_exponent is None:
-                keys, n = [tuple(scheme.bond_weight(i, s - i, o)._terms.items())
-                           for i in range(lo, hi + 1)], 1
-            else:
-                keys, n = [((h_exponent(s + 1), 1),) if o == H_STEP else ((0, 1),)], hi - lo + 1
+            keys = [tuple(scheme.bond_weight(i, s - i, o)._terms.items())
+                    for i in range(lo, hi + 1)]
             for t in keys:
                 codes[o, t] = None
-            rows[o].append((lo, keys, n))
+            rows[o].append((lo, keys))
     lows = {H_STEP: 0, V_STEP: 0}
     highs = {H_STEP: 0, V_STEP: 0}
     bound, signed = 1, False
@@ -196,8 +219,7 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
 
         def decode(n: int, a: int, b: int) -> Fraction:
             return Fraction(n, scale_h ** a * scale_v ** b)
-    return {o: [(lo, [codes[o, t] for t in keys] * n) for lo, keys, n in rows[o]]
-            for o in rows}, decode
+    return {o: [(lo, [codes[o, t] for t in keys]) for lo, keys in rows[o]] for o in rows}, decode
 
 
 def _odd_and_shift(n: int) -> tuple[int, int]:
@@ -214,16 +236,18 @@ def _sweep(table: PartitionTable):
     each as (s, lo, cells): cells[i - lo] is the cell at (i, s - i), an int
     in the table's encoding, from the lowest i on the diagonal, lo, up.  An
     empty rectangle yields nothing.  Each diagonal reads only the one yielded
-    before it and the weight codes of one row, so a reader keeps what it
+    before it and one diagonal's weight codes, so a reader keeps what it
     reads and no more, and one that stops reading stops the sweep there; a
-    yielded list is not changed afterwards.
+    yielded list is not changed afterwards.  A named scheme's diagonal is one
+    list comprehension over its one code; any other's is a loop over cells
+    that reads each cell's two bonds.
     """
     i0, j0 = table._start
     i1, j1 = table._end
     if i1 < i0 or j1 < j0:
         return
     step = table._step
-    rows_h, rows_v = table._codes[H_STEP], table._codes[V_STEP]
+    codes = table._codes
     oi, oj = table.origin
     prev, prev_lo = [1], oi
     yield oi + oj, oi, prev
@@ -233,27 +257,38 @@ def _sweep(table: PartitionTable):
     lag = 1 if step == 1 else 0
     for r in range(1, (i1 - i0) + (j1 - j0) + 1):
         s = oi + oj + step * r   # the diagonal i + j = s, in increasing i
-        # a row starts at its diagonal's lowest tail; i minus these offsets
-        # indexes a cell's bonds and its two neighbours in prev
-        lo_h, row_h = rows_h[s - lag - i0 - j0]
-        off_v, row_v = rows_v[s - lag - i0 - j0]
-        off_h = lag + lo_h
-        back_h = step + prev_lo
+        d = s - lag - i0 - j0    # its bonds' tail diagonal
         lo = max(i0, s - j1)
-        cells = []
-        for i in range(lo, min(i1, s - j0) + 1):
-            n = 0
-            # m is 1 for a weight that is a power of 2, such as q^e with coefficient
-            # 1 in a packed polynomial; skip that product, which only copies
-            if i != oi:
-                m, k = row_h[i - off_h]
-                x = prev[i - back_h]
-                n = (x if m == 1 else m * x) << k
-            if s - i != oj:
-                m, k = row_v[i - off_v]
-                x = prev[i - prev_lo]
-                n += (x if m == 1 else m * x) << k
-            cells.append(n)
+        if isinstance(codes, list):
+            # cell(i) = W * prev(i - step) + prev(i), prev padded with a 0 at each
+            # end: a neighbour off the rectangle.  a is where prev(lo) sits in it
+            m, k = codes[d]
+            pad = [0, *prev, 0]
+            a = lo - prev_lo + 1
+            pairs = zip(pad[a - step:], pad[a:a + min(i1, s - j0) - lo + 1])
+            # m is 1 for a power of 2, such as any monomial in a packed polynomial:
+            # its product is a shift, and a shift by 0 would only copy
+            if m == 1:
+                cells = [(x << k) + y for x, y in pairs] if k else [x + y for x, y in pairs]
+            else:
+                cells = [(m * x << k) + y for x, y in pairs] if k else [m * x + y for x, y in pairs]
+        else:
+            # a row starts at its diagonal's lowest tail; i minus these offsets
+            # indexes a cell's bonds and its two neighbours in prev
+            lo_h, row_h = codes[H_STEP][d]
+            off_v, row_v = codes[V_STEP][d]
+            off_h = lag + lo_h
+            back_h = step + prev_lo
+            cells = []
+            for i in range(lo, min(i1, s - j0) + 1):
+                n = 0
+                if i != oi:
+                    m, k = row_h[i - off_h]
+                    n = (m * prev[i - back_h]) << k
+                if s - i != oj:
+                    m, k = row_v[i - off_v]
+                    n += (m * prev[i - prev_lo]) << k
+                cells.append(n)
         yield s, lo, cells
         prev, prev_lo = cells, lo
 

@@ -76,6 +76,26 @@ class TestPartitionCommand:
         assert LaurentPoly.from_json_obj(payload["terms"]) == LaurentPoly({0: 1, 2: 2})
 
 
+# sweeps past the Hypothesis rectangles, each pinned to its stdout's sha256: a
+# table swept by another path or encoded another way must print the same bytes
+@pytest.mark.parametrize("argv, digest", [
+    ("partition --scheme interface --from=-3,2 --to 37,42",
+     "20fe4523d33bcf9ce6d4cf350c2c10211afefc0af28d549f3a9323dbad9da183"),
+    ("partition --scheme rep2 --to 400,1",
+     "b4bef5a0fe2ec01dc6f41d8b2edd9ebea99fba7f39d5d36e1ee48f9fd6362d26"),
+    ("partition --scheme rep1 -K 20 -L 20 --to 20,21",
+     "d8e968bcc269a9f6db4e6ae4faeda0e869b7a140cee820a651f8383038cc5571"),
+    ("profile -K 30 -L 30 -N 30 --q 3/10",
+     "3b0fcbc44e190d3717d9430cbc856277e7b72d95d8cb9a3f7d2f09a9a94e0538"),
+    ("sample --scheme rep2 --from=-10,-10 --to 10,10 --q 4/5 --seed 7 --n 200",
+     "543fa0d36744a1bc20eb3dfedfd9d24f15b21eeb880a41f202778ad8d86571c4"),
+], ids=["interface-40x40", "rep2-400x1", "rep1-20x21", "profile-30", "sample-rep2-20x20"])
+def test_large_sweeps_print_the_same_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestClosedFormCommand:
     def test_value(self, capsys):
         code, out, _ = run(capsys, "closed-form", "-n", "2", "-m", "1")

@@ -339,14 +339,22 @@ class TestWeightCodes:
                             vertical_bond(Point(0, 0)): poly({-1: 3, 2: 1})}),
          (Point(0, 0), Point(2000, 1))),
     ])
-    def test_wide_and_tall_tables_hold_one_code_per_bond(self, scheme, corners):
+    def test_wide_and_tall_tables_count_their_codes(self, scheme, corners):
         start, end = corners
         di, dj = end.i - start.i, end.j - start.j
-        bonds = di * (dj + 1) + (di + 1) * dj
+        if scheme.h_exponent is None:
+            held, copy = di * (dj + 1) + (di + 1) * dj, None
+        else:
+            held, copy = di + dj, custom_copy(scheme, start, end)
         for q0 in (None, Fraction(1, 3)):
             table = backward_table(scheme, start, end, q0)
-            held = sum(len(row) for rows in table._codes.values() for _, row in rows)
-            assert held == bonds
+            codes = table._codes
+            # a named scheme holds its horizontal weight once per tail diagonal,
+            # any other one code per bond
+            assert held == (len(codes) if copy else
+                            sum(len(row) for rows in codes.values() for _, row in rows))
+            if copy:
+                assert_same_weight_codes(scheme, copy, start, end, q0)
             # a bond read at either end of the long side carries its own weight
             for i, j in ((0, 0), (0, 1), (end.i - 1, end.j - 1)):
                 for o, head in ((H_STEP, Point(i + 1, j)), (V_STEP, Point(i, j + 1))):
@@ -358,10 +366,36 @@ class TestWeightCodes:
                     assert table._decode(got, end.i - i, end.j - j) == want
 
 
+def custom_copy(scheme, start, end):
+    """A CustomTable holding the scheme's weight of every bond of the rectangle."""
+    weights = {}
+    for i in range(start.i, end.i + 1):
+        for j in range(start.j, end.j + 1):
+            if i < end.i:
+                weights[horizontal_bond(Point(i, j))] = scheme.bond_weight(i, j, H_STEP)
+            if j < end.j:
+                weights[vertical_bond(Point(i, j))] = scheme.bond_weight(i, j, V_STEP)
+    return CustomTable(table=weights)
+
+
+def assert_same_weight_codes(scheme, copy, start, end, q0):
+    """Every bond of the rectangle weighs alike, as ``times`` reads it, in the
+    forward and the backward tables of the scheme and of its copy."""
+    for make in (forward_table, backward_table):
+        table, copied = make(scheme, start, end, q0), make(copy, start, end, q0)
+        for i in range(start.i, end.i + 1):
+            for j in range(start.j, end.j + 1):
+                for o, inside in ((H_STEP, i < end.i), (V_STEP, j < end.j)):
+                    if inside:
+                        assert table.times(i, j, o, 1) == copied.times(i, j, o, 1), (i, j, o)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_named_scheme_encodes_as_its_custom_copy(data):
-    # the exponent path of the encoder against the per-bond path, int for int
+    # the per-diagonal path of the encoder and the sweep against the per-bond
+    # path, int for int, through the sweep, the sampler's step probabilities and
+    # the bond codes
     start = Point(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
     end = start.translate(data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)))
     kind = data.draw(st.sampled_from(["interface", "rep1", "rep2"]))
@@ -373,20 +407,31 @@ def test_named_scheme_encodes_as_its_custom_copy(data):
         # every head lies within K+L+1
         K = data.draw(st.integers(0, 8))
         scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1) + data.draw(st.integers(0, 2)))
-    weights = {}
-    for i in range(start.i, end.i + 1):
-        for j in range(start.j, end.j + 1):
-            if i < end.i:
-                weights[horizontal_bond(Point(i, j))] = scheme.bond_weight(i, j, H_STEP)
-            if j < end.j:
-                weights[vertical_bond(Point(i, j))] = scheme.bond_weight(i, j, V_STEP)
-    copy = CustomTable(table=weights)
-    for q0 in (None, data.draw(open_unit_rationals)):
+    copy = custom_copy(scheme, start, end)
+    q0 = data.draw(open_unit_rationals)
+    for q in (None, q0):
+        assert_same_weight_codes(scheme, copy, start, end, q)
         for make in (forward_table, backward_table):
-            table, copied = make(scheme, start, end, q0), make(copy, start, end, q0)
-            assert table._codes == copied._codes
-            assert table.values == copied.values
-        assert partition_dp(scheme, start, end, q0) == partition_dp(copy, start, end, q0)
+            assert make(scheme, start, end, q).values == make(copy, start, end, q).values
+        assert partition_dp(scheme, start, end, q) == partition_dp(copy, start, end, q)
+    assert SamplerState(scheme, start, end, q0, 0).diag.tolist() == \
+        SamplerState(copy, start, end, q0, 0).diag.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(0, 6), L=st.integers(0, 6), data=st.data())
+def test_pinning_reads_as_the_custom_copy(K, L, data):
+    # the pinning's int products on the sphere of radius K against the
+    # through-point ratios of the per-bond tables of the same weights
+    inst = PinnedInstance(K=K, L=L, N=data.draw(st.integers(0, K + L + 1)))
+    q0 = data.draw(open_unit_rationals)
+    end = Point(inst.N, inst.M)
+    copy = custom_copy(PinnedRep1(K=K, L=L), ORIGIN, end)
+    fwd, bwd = forward_table(copy, ORIGIN, end, q0), backward_table(copy, ORIGIN, end, q0)
+    z = fwd[end]
+    assert pinning_distribution(inst, q0) == [
+        (n, fwd[Point(n, K - n)] * bwd[Point(n, K - n)] / z)
+        for n in range(max(0, K - inst.M), min(inst.N, K) + 1)]
 
 
 class TestZeroQ:
