@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import H_STEP, Point, V_STEP, enumerate_paths
-from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, numerator, pack, unpack
+from .lattice import H_STEP, Point, enumerate_paths
+from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, unpack
 from .spin import PinnedInstance, check_q, norm_squared
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
@@ -36,15 +36,13 @@ class PartitionTable:
 
     Every cell is one int, in an encoding chosen for the rectangle: a
     Kronecker-packed Laurent polynomial, or at a fixed q0 = p/r the value
-    times int scales.  Every bond of the rectangle has an encoded weight, so
-    a cell is W_h * (its horizontal neighbour) + W_v * (its vertical
-    neighbour) in plain ints; ``times`` forms such a product.  A named
-    scheme's table holds one code per tail diagonal, the weight of its
-    horizontal bonds, and weighs a vertical bond as 1; any other holds, per
-    orientation and tail diagonal, a row (lo, codes) with lo the lowest tail
-    i on it, so the bond with tail (i, j) is codes[i - lo].  Reading a point
-    decodes its int into a LaurentPoly, or into a Fraction when the table
-    was swept at a fixed q; points off the rectangle read as that ring's 0.
+    times int scales.  The table holds one code per tail diagonal, the
+    encoded weight of its horizontal bonds, and weighs a vertical bond as
+    1, so a cell is W * (its horizontal neighbour) + (its vertical
+    neighbour) in plain ints; ``times`` forms such a product.  Reading a
+    point decodes its int into a LaurentPoly, or into a Fraction when the
+    table was swept at a fixed q; points off the rectangle read as that
+    ring's 0.
 
     A table sweeps when it is first read, not when it is built, so a caller
     that needs one cell, such as partition_dp, holds no others.  ``values``,
@@ -53,13 +51,11 @@ class PartitionTable:
     ``far_corner`` reads Z(start, end) through it.
     """
 
-    def __init__(self, codes: list | dict,
+    def __init__(self, codes: list,
                  decode: Callable[[int, int, int], LaurentPoly | Fraction],
                  start: Point, end: Point, step: int):
-        # an encoded weight (m, k) is the int m << k.  codes[d] of a named scheme is
-        # the horizontal weight on the tail diagonal i + j = start.i + start.j + d;
-        # codes[orientation][d] of any other is that diagonal's row (lo, codes) of
-        # bonds, from the lowest tail i, lo, up (see _encoding)
+        # an encoded weight (m, k) is the int m << k.  codes[d] is the horizontal
+        # weight on the tail diagonal i + j = start.i + start.j + d (see _encoding)
         self._codes = codes
         self._decode = decode
         self._start = start
@@ -78,17 +74,11 @@ class PartitionTable:
 
     def times(self, i: int, j: int, orientation: str, n: int) -> int:
         """n times the encoded weight of the bond with tail (i, j), which
-        must lie on the rectangle.  A named scheme's table reads its
-        diagonal's one code for a horizontal bond and returns n for a
-        vertical one."""
-        d = i + j - self._start.i - self._start.j
-        if isinstance(self._codes, list):
-            if orientation != H_STEP:
-                return n
-            m, k = self._codes[d]
-        else:
-            lo, codes = self._codes[orientation][d]
-            m, k = codes[i - lo]
+        must lie on the rectangle: its diagonal's one code for a horizontal
+        bond, and n for a vertical one."""
+        if orientation != H_STEP:
+            return n
+        m, k = self._codes[i + j - self._start.i - self._start.j]
         return (m * n) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
@@ -112,114 +102,51 @@ class PartitionTable:
 
 
 def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | None):
-    """Encode every bond weight of the rectangle [start, end] as an int.
+    """Encode the bond weights of the rectangle [start, end] as ints.
 
     Returns (codes, decode) as PartitionTable holds them; decode(n, a, b)
-    reads a value that spans a horizontal and b vertical steps.  An empty
-    rectangle has no codes, and its decode reads every int as the ring's 0.
-    The exponents of each orientation o are offset by V_o = min(0, lowest
-    exponent), so such a value is offset by a*V_h + b*V_v.
+    reads a value that spans a horizontal and b vertical steps.  A named
+    scheme weighs a vertical bond as 1 and a horizontal one with tail on
+    the diagonal s = i + j as q^e, e = h_exponent(s + 1), so codes holds
+    one code per tail diagonal, built from the ints alone.  With V =
+    min(0, lowest e) and D = max(0, highest e), such a value is offset by
+    a*V, and an encoded weight is stored as (m, k), the int m << k with m
+    odd, so a product by a power of 2, such as a monomial's code, is a
+    shift.
     - Polynomials (Kronecker substitution): offset exponents are strided by
-      g, their gcd, and q^e goes to the w-bit slot (e - V_o) / g; w is the
-      bit length of C(n+m, n) * A^(n+m), A the largest sum of |coefficients|
-      of one weight, plus a sign bit if any coefficient is negative.
-    - At q0 = p/r, with D_o = max(0, highest exponent), a weight is its
-      value times the int S_o = p^(-V_o) * r^(D_o), and the value above
-      reads N / (S_h^a * S_v^b).
-    Offsets per orientation leave a weight of 1 encoded as 1.  An encoded
-    weight is stored as (m, k), the int m << k with m odd, so a product by
-    a power of 2, such as a monomial's code, is a shift.  A named scheme
-    weighs a vertical bond as 1 and a horizontal one with tail on the
-    diagonal s = i + j as q^h_exponent(s + 1), so its codes are a list of
-    those, one per tail diagonal, built from the ints alone: (1, w * (e -
-    V_h) / g) packed, and p^(e - V_h) * r^(D_h - e) at q0.  Any other is
-    asked bond by bond, and the codes of the bonds of one orientation whose
-    tails lie on one diagonal s form a row (lo, codes), lo = max(start.i,
-    s - tj) the lowest tail i on it and tj the highest tail j of that
-    orientation, so the one with tail i is codes[i - lo]; its distinct
-    weights are keyed by their raw terms and encoded once each.
+      g, their gcd, and q^e goes to the w-bit slot (e - V) / g, w the bit
+      length of C(n+m, n), the path count, so the code is (1, w * (e - V) / g).
+    - At q0 = p/r the code is p^(e - V) * r^(D - e), the weight times the
+      int S = p^(-V) * r^D, and the value above reads N / S^a.
+    An empty rectangle has no codes, and its decode reads every int as the
+    ring's 0.  A scheme without h_exponent, such as a CustomTable, is
+    refused; partition_bruteforce sums its paths.
     """
+    if scheme.h_exponent is None:
+        raise TypeError(f"the sweep needs a named scheme, not {scheme.name!r}; "
+                        "use partition_bruteforce")
     if end.i < start.i or end.j < start.j:
         zero = ZERO if q0 is None else Fraction(0)
-        return {}, lambda n, a, b: zero
+        return [], lambda n, a, b: zero
     i0, j0 = start
     i1, j1 = end
     di, dj = i1 - i0, j1 - j0
-    if scheme.h_exponent is not None:
-        # a table without horizontal bonds asks no exponent: its 1s meet only padding
-        exps = [scheme.h_exponent(s + 1) for s in range(i0 + j0, i1 + j1)] if di else [0] * dj
-        low, high = min([0, *exps]), max([0, *exps])
-        if q0 is None:
-            # not gcd(*...): CPython 3.11 keeps each freed *args tuple of a new
-            # length on its free list, and the peak memory of a long run creeps
-            stride = functools.reduce(math.gcd, [e - low for e in exps], 0) or 1
-            width = math.comb(di + dj, di).bit_length()
-            return ([(1, width * (e - low) // stride) for e in exps],
-                    lambda n, a, b: unpack(n, width, stride, a * low, False))
-        p, r = q0.numerator, q0.denominator
-        if p == 0 and low < 0:
-            raise ZeroToNegativePower("negative power of q at q = 0")
-        scale = p ** -low * r ** high
-        return ([_odd_and_shift(p ** (e - low) * r ** (high - e)) for e in exps],
-                lambda n, a, b: Fraction(n, scale ** a))
-    # orientation -> per tail diagonal, a row (lo, keys): the raw terms of its
-    # weights by i from lo up; an orientation without bonds keeps empty rows,
-    # which nothing reads
-    rows = {H_STEP: [(0, ())] * (di + dj), V_STEP: [(0, ())] * (di + dj)}
-    codes = {}   # (orientation, raw terms) -> its code
-    for o, ti, tj in ((H_STEP, i1 - 1, j1), (V_STEP, i1, j1 - 1)):
-        # the tails of the bonds of orientation o fill the rectangle [start, (ti, tj)]
-        if ti < i0 or tj < j0:
-            continue
-        rows[o] = []
-        for s in range(i0 + j0, ti + tj + 1):
-            lo, hi = max(i0, s - tj), min(ti, s - j0)
-            keys = [tuple(scheme.bond_weight(i, s - i, o)._terms.items())
-                    for i in range(lo, hi + 1)]
-            for t in keys:
-                codes[o, t] = None
-            rows[o].append((lo, keys))
-    lows = {H_STEP: 0, V_STEP: 0}
-    highs = {H_STEP: 0, V_STEP: 0}
-    bound, signed = 1, False
-    for o, t in codes:
-        size = 0
-        for e, c in t:
-            if e < lows[o]:
-                lows[o] = e
-            elif e > highs[o]:
-                highs[o] = e
-            size += abs(c)
-            if c < 0:
-                signed = True
-        bound = max(bound, size)
-    low_h, low_v = lows[H_STEP], lows[V_STEP]
+    # a table without horizontal bonds asks no exponent: its 1s meet only padding
+    exps = [scheme.h_exponent(s + 1) for s in range(i0 + j0, i1 + j1)] if di else [0] * dj
+    low, high = min([0, *exps]), max([0, *exps])
     if q0 is None:
-        stride = 0
-        for o, t in codes:
-            for e, _ in t:
-                stride = math.gcd(stride, e - lows[o])
-        stride = stride or 1
-        width = max(1, (math.comb(di + dj, di) * bound ** (di + dj)).bit_length()) + signed
-        for key in codes:
-            o, t = key
-            codes[key] = _odd_and_shift(pack(t, width, stride, lows[o]))
-
-        def decode(n: int, a: int, b: int) -> LaurentPoly:
-            return unpack(n, width, stride, a * low_h + b * low_v, signed)
-    else:
-        p, r = q0.numerator, q0.denominator
-        if p == 0 and (low_h < 0 or low_v < 0):
-            raise ZeroToNegativePower("negative power of q at q = 0")
-        for key in codes:
-            o, t = key
-            codes[key] = _odd_and_shift(numerator(t, p, r, lows[o], highs[o]))
-        scale_h = p ** -low_h * r ** highs[H_STEP]
-        scale_v = p ** -low_v * r ** highs[V_STEP]
-
-        def decode(n: int, a: int, b: int) -> Fraction:
-            return Fraction(n, scale_h ** a * scale_v ** b)
-    return {o: [(lo, [codes[o, t] for t in keys]) for lo, keys in rows[o]] for o in rows}, decode
+        # not gcd(*...): CPython 3.11 keeps each freed *args tuple of a new
+        # length on its free list, and the peak memory of a long run creeps
+        stride = functools.reduce(math.gcd, [e - low for e in exps], 0) or 1
+        width = math.comb(di + dj, di).bit_length()
+        return ([(1, width * (e - low) // stride) for e in exps],
+                lambda n, a, b: unpack(n, width, stride, a * low, False))
+    p, r = q0.numerator, q0.denominator
+    if p == 0 and low < 0:
+        raise ZeroToNegativePower("negative power of q at q = 0")
+    scale = p ** -low * r ** high
+    return ([_odd_and_shift(p ** (e - low) * r ** (high - e)) for e in exps],
+            lambda n, a, b: Fraction(n, scale ** a))
 
 
 def _odd_and_shift(n: int) -> tuple[int, int]:
@@ -238,9 +165,8 @@ def _sweep(table: PartitionTable):
     empty rectangle yields nothing.  Each diagonal reads only the one yielded
     before it and one diagonal's weight codes, so a reader keeps what it
     reads and no more, and one that stops reading stops the sweep there; a
-    yielded list is not changed afterwards.  A named scheme's diagonal is one
-    list comprehension over its one code; any other's is a loop over cells
-    that reads each cell's two bonds.
+    yielded list is not changed afterwards.  A diagonal is one list
+    comprehension over the one before and its one code.
     """
     i0, j0 = table._start
     i1, j1 = table._end
@@ -259,36 +185,18 @@ def _sweep(table: PartitionTable):
         s = oi + oj + step * r   # the diagonal i + j = s, in increasing i
         d = s - lag - i0 - j0    # its bonds' tail diagonal
         lo = max(i0, s - j1)
-        if isinstance(codes, list):
-            # cell(i) = W * prev(i - step) + prev(i), prev padded with a 0 at each
-            # end: a neighbour off the rectangle.  a is where prev(lo) sits in it
-            m, k = codes[d]
-            pad = [0, *prev, 0]
-            a = lo - prev_lo + 1
-            pairs = zip(pad[a - step:], pad[a:a + min(i1, s - j0) - lo + 1])
-            # m is 1 for a power of 2, such as any monomial in a packed polynomial:
-            # its product is a shift, and a shift by 0 would only copy
-            if m == 1:
-                cells = [(x << k) + y for x, y in pairs] if k else [x + y for x, y in pairs]
-            else:
-                cells = [(m * x << k) + y for x, y in pairs] if k else [m * x + y for x, y in pairs]
+        # cell(i) = W * prev(i - step) + prev(i), prev padded with a 0 at each
+        # end: a neighbour off the rectangle.  a is where prev(lo) sits in it
+        m, k = codes[d]
+        pad = [0, *prev, 0]
+        a = lo - prev_lo + 1
+        pairs = zip(pad[a - step:], pad[a:a + min(i1, s - j0) - lo + 1])
+        # m is 1 for a power of 2, such as any monomial in a packed polynomial:
+        # its product is a shift, and a shift by 0 would only copy
+        if m == 1:
+            cells = [(x << k) + y for x, y in pairs] if k else [x + y for x, y in pairs]
         else:
-            # a row starts at its diagonal's lowest tail; i minus these offsets
-            # indexes a cell's bonds and its two neighbours in prev
-            lo_h, row_h = codes[H_STEP][d]
-            off_v, row_v = codes[V_STEP][d]
-            off_h = lag + lo_h
-            back_h = step + prev_lo
-            cells = []
-            for i in range(lo, min(i1, s - j0) + 1):
-                n = 0
-                if i != oi:
-                    m, k = row_h[i - off_h]
-                    n = (m * prev[i - back_h]) << k
-                if s - i != oj:
-                    m, k = row_v[i - off_v]
-                    n += (m * prev[i - prev_lo]) << k
-                cells.append(n)
+            cells = [(m * x << k) + y for x, y in pairs] if k else [m * x + y for x, y in pairs]
         yield s, lo, cells
         prev, prev_lo = cells, lo
 

@@ -302,10 +302,6 @@ def pack(terms: Collection[tuple[int, int]], width: int, stride: int, shift: int
     """
     if not terms:
         return 0
-    if len(terms) == 1:
-        # a monomial, as most weights are: one shift, linear too
-        (e, c), = terms
-        return c << width * ((e - shift) // stride)
     (low, _), (top, _) = min(terms), max(terms)
     dense = [0] * ((top - low) // stride + 1)
     for e, c in terms:

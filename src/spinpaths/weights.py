@@ -4,8 +4,9 @@ A scheme is asked by coordinates: bond_weight(i, j, orientation) weighs
 the bond whose tail is (i, j), the point horizontal_bond/vertical_bond take.
 The named schemes weigh every vertical bond as 1, and a horizontal bond as
 q^h_exponent(s), s = i + 1 + j the diagonal of its right end (i+1, j), the
-head of the step; bond_weight derives from that int, and the encoder reads
-it once per diagonal.
+head of the step; bond_weight derives from that int, and the sweep's encoder
+reads it once per diagonal.  A CustomTable has no such rule: the sweep
+refuses it, and path_weight and partition_bruteforce serve it.
 Path weights are the product of bond weights, so weights multiply under
 path concatenation.
 """
@@ -29,7 +30,7 @@ class WeightScheme:
 
     name = "abstract"
     # a named scheme's h_exponent(s), the exponent of the horizontal weight on
-    # the head diagonal s; None for a scheme that is asked bond by bond
+    # the head diagonal s; None for a scheme that the sweep refuses
     h_exponent = None
 
     def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:
@@ -109,9 +110,9 @@ class PinnedRep2(WeightScheme):
 class CustomTable(WeightScheme):
     """Explicit bond -> weight map; bonds not in the table get `default`.
 
-    Testing hook: lets the generic machinery run on weight systems that
-    none of the named schemes produce (including nontrivial vertical
-    weights).
+    Testing hook for weight systems that none of the named schemes
+    produce, nontrivial vertical weights included.  path_weight and
+    partition_bruteforce serve it; the sweep refuses it.
     """
 
     table: Mapping[Bond, LaurentPoly] = field(default_factory=dict)

@@ -1,0 +1,29 @@
+"""The slow path the packed sweep replaces, shared by the tests that check it.
+
+Import it from a test module as ``from sweep_reference import reference_tables``.
+"""
+
+from spinpaths.lattice import H_STEP, V_STEP
+from spinpaths.qpoly import ONE, ZERO
+
+
+def reference_tables(scheme, start, end):
+    """Forward and backward tables by the dict-polynomial sweep over any
+    scheme's bond_weight: dicts of LaurentPoly keyed by (i, j)."""
+    cells = [(i, j) for i in range(start.i, end.i + 1) for j in range(start.j, end.j + 1)]
+    fwd, bwd = {}, {}
+    for i, j in cells:   # left and below come first
+        z = ONE if (i, j) == start else ZERO
+        if i > start.i:
+            z = z + scheme.bond_weight(i - 1, j, H_STEP) * fwd[i - 1, j]
+        if j > start.j:
+            z = z + scheme.bond_weight(i, j - 1, V_STEP) * fwd[i, j - 1]
+        fwd[i, j] = z
+    for i, j in reversed(cells):   # right and above come first
+        z = ONE if (i, j) == end else ZERO
+        if i < end.i:
+            z = z + scheme.bond_weight(i, j, H_STEP) * bwd[i + 1, j]
+        if j < end.j:
+            z = z + scheme.bond_weight(i, j, V_STEP) * bwd[i, j + 1]
+        bwd[i, j] = z
+    return fwd, bwd

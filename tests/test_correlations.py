@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
+from spinpaths import (CorrelationQuery, DegenerateEnsemble,
                        InterfaceXXZ, LaurentPoly, PinnedInstance, PinnedRep1,
                        PinnedRep2, Point, SamplerState, amplitude,
                        backward_table, conditioned_partition,
@@ -15,7 +15,8 @@ from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
                        pinning_distribution, sector_configs, sphere)
 from spinpaths.partition import rep1_tables
 from spinpaths import partition
-from spinpaths.lattice import H_STEP, horizontal_bond, vertical_bond
+from spinpaths.lattice import H_STEP
+from sweep_reference import reference_tables
 
 ORIGIN = Point(0, 0)
 HALF = Fraction(1, 2)
@@ -289,7 +290,7 @@ def poly_profile(inst, q0):
 
 
 def poly_step_probabilities(scheme, start, end, q0):
-    bwd = backward_table(scheme, start, end)
+    _, bwd = reference_tables(scheme, start, end)
     out = {}
     for i in range(start.i, end.i):
         for j in range(start.j, end.j + 1):
@@ -312,20 +313,14 @@ def test_fixed_q_consumers_match_polynomial_tables(data):
     start = Point(data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
     end = start.translate(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)))
     cells = [Point(i, j) for i in range(start.i, end.i + 1) for j in range(start.j, end.j + 1)]
-    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2"]))
     if kind == "interface":
         scheme = InterfaceXXZ()
     elif kind == "rep1":
         # keep every bond head inside rep1's domain, radius K+L+1
         scheme = PinnedRep1(K=K, L=max(L, end.i + end.j - K - 1))
-    elif kind == "rep2":
-        scheme = PinnedRep2()
     else:
-        # positive coefficients keep every partition value positive at q0
-        bonds = [make(q) for q in cells for make in (horizontal_bond, vertical_bond)]
-        monomial = st.builds(lambda c, e: LaurentPoly({e: c}), st.integers(1, 2),
-                             st.integers(-3, 3))
-        scheme = CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), monomial)))
+        scheme = PinnedRep2()
     waypoints = tuple(data.draw(st.lists(st.sampled_from(cells), max_size=2)))
     q = CorrelationQuery(scheme, start, end, waypoints)
     assert crossing_probability(q, q0) == \
@@ -337,11 +332,8 @@ def test_fixed_q_consumers_match_polynomial_tables(data):
         assert state.diag[a + b, a] == float(p_h)
 
 
-@pytest.mark.parametrize("scheme", [
-    InterfaceXXZ(), PinnedRep1(K=2, L=3), PinnedRep2(),
-    CustomTable(table={horizontal_bond(Point(0, 1)): LaurentPoly({-1: 2}),
-                       vertical_bond(Point(1, 0)): LaurentPoly({2: 3})}),
-], ids=["interface", "rep1", "rep2", "custom"])
+@pytest.mark.parametrize("scheme", [InterfaceXXZ(), PinnedRep1(K=2, L=3), PinnedRep2()],
+                         ids=["interface", "rep1", "rep2"])
 def test_sweeps_and_observables_build_no_bond(scheme, monkeypatch):
     # weights are asked by coordinates, so no Bond is built on the way
     start, end = Point(-1, 0), Point(2, 2)

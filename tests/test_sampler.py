@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from spinpaths import (CorrelationQuery, CustomTable, DegenerateEnsemble,
-                       InterfaceXXZ, LaurentPoly, PinnedRep1, PinnedRep2, Point,
+from spinpaths import (CorrelationQuery, DegenerateEnsemble,
+                       InterfaceXXZ, PinnedRep1, PinnedRep2, Point,
                        SamplerState, backward_table, crossing_probability, enumerate_paths,
                        estimate_crossing, partition_dp, sample_path,
                        sample_paths, sample_step_matrix)
-from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond, vertical_bond
+from spinpaths.lattice import H_STEP, V_STEP
 from spinpaths.sampler import BLOCK
 
 ORIGIN = Point(0, 0)
@@ -68,23 +68,15 @@ def draw_ensemble(data):
     """A random rectangle, scheme and q0 whose partition values are positive."""
     start = Point(data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
     end = start.translate(data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)))
-    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2"]))
     if kind == "interface":
         scheme = InterfaceXXZ()
     elif kind == "rep1":
         # every bond head inside rep1's domain, radius K+L+1
         K = data.draw(st.integers(0, 3))
         scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1))
-    elif kind == "rep2":
-        scheme = PinnedRep2()
     else:
-        # positive coefficients keep every partition value positive at q0
-        bonds = [make(Point(i, j)) for i in range(start.i, end.i + 1)
-                 for j in range(start.j, end.j + 1) for make in (horizontal_bond, vertical_bond)]
-        monomial = st.builds(lambda c, e: LaurentPoly({e: c}), st.integers(1, 3),
-                             st.integers(-3, 3))
-        scheme = CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), monomial,
-                                                             max_size=8)))
+        scheme = PinnedRep2()
     q0 = Fraction(data.draw(st.integers(1, 12)), 13)
     return scheme, start, end, q0
 
@@ -334,21 +326,14 @@ def full_table_diag(scheme, start, end, q0):
 def test_streamed_step_table_matches_the_full_table(data):
     start = Point(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
     end = start.translate(data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7)))
-    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2", "custom"]))
+    kind = data.draw(st.sampled_from(["interface", "rep1", "rep2"]))
     if kind == "interface":
         scheme = InterfaceXXZ()
     elif kind == "rep1":
         K = data.draw(st.integers(0, 5))
         scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1))
-    elif kind == "rep2":
-        scheme = PinnedRep2()
     else:
-        # positive coefficients keep Z(start) from vanishing
-        bonds = [make(Point(i, j)) for i in range(start.i, end.i + 1)
-                 for j in range(start.j, end.j + 1) for make in (horizontal_bond, vertical_bond)]
-        weight = st.builds(lambda c, e: LaurentPoly({e: c}), st.integers(1, 3), st.integers(-3, 3))
-        scheme = CustomTable(table=data.draw(st.dictionaries(st.sampled_from(bonds), weight,
-                                                             max_size=8)))
+        scheme = PinnedRep2()
     q0 = Fraction(data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20)))
     state = SamplerState(scheme, start, end, q0, 0)
     np.testing.assert_array_equal(state.diag, full_table_diag(scheme, start, end, q0))

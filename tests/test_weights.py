@@ -54,7 +54,7 @@ class TestBondWeight:
         assert [rep1.h_exponent(s) for s in (-1, 0, 1, 2, 3, 4)] == [-2, 0, 2, 4, 2, 0]
         with pytest.raises(OutOfDomain, match="bond at radius 5 exceeds K\\+L\\+1 = 4"):
             rep1.h_exponent(5)
-        # a scheme without an exponent is asked bond by bond
+        # a scheme without an exponent is one the sweep refuses
         assert CustomTable().h_exponent is None
 
     def test_interface_rep1_agree_inside_radius_k(self):
