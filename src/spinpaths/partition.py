@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .lattice import H_STEP, Point, enumerate_paths
-from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, unpack
+from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, pack, unpack
 from .spin import PinnedInstance, check_q, norm_squared
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
@@ -275,12 +275,7 @@ def translated_interface(start: Point, end: Point, ref: Point) -> LaurentPoly:
     shifted = partition_dp(InterfaceXXZ(),
                            Point(start.i - ref.i, start.j - ref.j),
                            Point(end.i - ref.i, end.j - ref.j))
-    return _translation_factor(start, end, ref) * shifted
-
-
-def _translation_factor(start: Point, end: Point, ref: Point) -> LaurentPoly:
-    """q^(2(ref.i+ref.j)(end.i-start.i)): Z(start, end) over Z(start - ref, end - ref)."""
-    return LaurentPoly.q_power(2 * (ref.i + ref.j) * (end.i - start.i))
+    return LaurentPoly.q_power(2 * (ref.i + ref.j) * (end.i - start.i)) * shifted
 
 
 # -- pinned-chain partition functions -----------------------------------------
@@ -308,15 +303,35 @@ def pinned_rep2(inst: PinnedInstance) -> LaurentPoly:
 
 
 def pinned_via_convolution(inst: PinnedInstance) -> LaurentPoly:
-    """The pinned partition function as a convolution of interface closed forms."""
-    total = ZERO
+    """The pinned partition function as a convolution of interface closed
+    forms, packed at the bit length of C(sites, N) (see _convolution)."""
+    width = math.comb(inst.sites, inst.N).bit_length()
+    return _convolution(inst, _closed_form_packer(width), width)
+
+
+def _closed_form_packer(width: int) -> Callable[[int, int], int]:
+    """(n, m) -> interface_closed_form(n, m) Kronecker-packed at width bits,
+    stride 2 and shift 0: each exponent n(n+1) + 2k is even and nonnegative."""
+    return lambda n, m: pack(interface_closed_form(n, m).items(), width, 2, 0)
+
+
+def _convolution(inst: PinnedInstance, packed: Callable[[int, int], int],
+                 width: int) -> LaurentPoly:
+    """pinned_via_convolution as one sum of int products, unpacked once, given
+    the closed forms packed at width bits (see _closed_form_packer).
+
+    Every coefficient is nonnegative, so no slot of a product or a sum exceeds
+    the total's, and at q = 1 the total is sum_n C(K, n) C(L+1, N-n) =
+    C(K+L+1, N) by Vandermonde's identity: width bits of C(sites, N), or of
+    any larger int, hold every slot without a carry.
+    """
+    total = 0
     # a term with n > K, or with N - n > L + 1, has a zero factor
     for n in range(max(0, inst.N - inst.L - 1), min(inst.N, inst.K) + 1):
         np_ = inst.N - n
-        bracket = interface_closed_form(np_ - 1, inst.L - np_ + 1) + \
-            interface_closed_form(np_, inst.L - np_)
-        total = total + interface_closed_form(n, inst.K - n) * bracket
-    return total
+        bracket = packed(np_ - 1, inst.L - np_ + 1) + packed(np_, inst.L - np_)
+        total += packed(n, inst.K - n) * bracket
+    return unpack(total, width, 2, 0, False)
 
 
 # -- recursion identities ---------------------------------------------------
@@ -459,21 +474,29 @@ def _report_entry(identity: str, params: dict, holds: bool, lhs, rhs) -> dict:
 def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dict]:
     """Run every identity on the (K, L) grid; one report entry per check, sides unrendered.
 
-    A check compares through the helper its public function uses, fed values
-    the suite holds.  Each distinct table is swept once per call; nothing
-    outlives the call.  Per pinned instance, one rep1 forward table gives
-    rep1 and both rec1 sides, and the re-instanced readings take rep1 of the
-    smaller chains from earlier in the loop; rep2 serves the norm, pf, rec2
-    and every ave entry, and one convolution serves pf and rec2 (rec2_rhs is
-    that sum).  The translation identity reads Z(start, end) from one
-    interface forward table per start in [-2, 2]^2 and every shifted Z from
-    one per shifted start in [0, 4]^2: 50 sweeps for 1 225 checks.  A
-    negative max_k or max_l, or a q outside (0, 1), is refused before that.
+    Each distinct table is swept once per call; nothing outlives the call.
+    Per pinned instance, one rep1 forward table gives rep1 and both rec1
+    sides, through the helper rec1_sides uses, and the re-instanced readings
+    take rep1 of the smaller chains from earlier in the loop; rep2 serves
+    the norm, pf, rec2 and every ave entry, and one convolution serves pf and
+    rec2 (rec2_rhs is that sum).  The convolution sums products of closed
+    forms, each packed once at one width for the grid: the bit length of
+    C(S, S // 2), S = max_k + max_l + 1.  The translation identity reads
+    Z(start, end) from one interface forward table per start in [-2, 2]^2
+    and every shifted Z from one per shifted start in [0, 4]^2: 50 sweeps
+    for 1 225 checks.  Each Z read is cut once into its valuation and its
+    terms relative to it, and a check compares those; only a failing one
+    builds q^k times the shifted Z for its right side, and one that holds
+    shows Z(start, end) as both.  A negative max_k or max_l, or a q outside
+    (0, 1), is refused before any of that.
     """
     if max_k < 0 or max_l < 0:
         raise ValueError(f"max_K and max_L must be nonnegative, got {max_k} and {max_l}")
     q_values = [check_q(q0) for q0 in q_values]
     entries: list[dict] = []
+    sites = max_k + max_l + 1
+    width = math.comb(sites, sites // 2).bit_length()
+    packed = functools.cache(_closed_form_packer(width))
     rep1_of: dict[tuple[int, int, int], LaurentPoly] = {}   # (K, L, N) -> rep1
     for K in range(max_k + 1):
         for L in range(max_l + 1):
@@ -487,7 +510,7 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dic
                 rep2 = pinned_rep2(inst)
                 entries.append(_report_entry(
                     "norm-equality", params, nsq == rep1 == rep2, nsq, rep1))
-                conv = pinned_via_convolution(inst)
+                conv = _convolution(inst, packed, width)
                 entries.extend(_report_entry(name, params, rep2 == conv, rep2, conv)
                                for name in ("pf", "rec2"))
                 if N >= 1 and inst.M >= 1:
@@ -500,23 +523,36 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dic
     pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
     names = {p: str(p) for p in pts}
     interface = InterfaceXXZ()
-    shifted = {}   # (s, e) -> Z(s, e) for s <= e in [0, 4]^2; every one is read
+
+    def normal_form(z: LaurentPoly) -> tuple[LaurentPoly, int, list]:
+        # z is Z of a nonempty rectangle, so not 0
+        terms = z.items()
+        v = terms[0][0]
+        return z, v, [(e - v, c) for e, c in terms]
+
+    shifted = {}   # s -> {e: normal_form(Z(s, e))} for s <= e in [0, 4]^2; every one is read
     for s in (Point(i, j) for i in range(5) for j in range(5)):
         table = forward_table(interface, s, Point(4, 4))
-        for e in table.values:
-            shifted[s, e] = table[e]
+        shifted[s] = {e: normal_form(table[e]) for e in table.values}
     for start in pts:
         table = forward_table(interface, start, Point(2, 2))
+        # per ref weakly below start: its name, its coordinates, 2(ref.i+ref.j),
+        # and the shifted table's cells
+        refs = [(names[ref], ref.i, ref.j, 2 * (ref.i + ref.j),
+                 shifted[start.i - ref.i, start.j - ref.j])
+                for ref in pts if ref.i <= start.i and ref.j <= start.j]
         for end in pts:
             if not end.dominates(start):
                 continue
-            direct = table[end]
-            for ref in pts:
-                if not (ref.i <= start.i and ref.j <= start.j):
-                    continue
-                translated = _translation_factor(start, end, ref) * \
-                    shifted[(start.i - ref.i, start.j - ref.j), (end.i - ref.i, end.j - ref.j)]
+            direct, v, shape = normal_form(table[end])
+            params = {"I": names[start], "F": names[end]}
+            for name, ri, rj, step, cells in refs:
+                # q^k Z(start - ref, end - ref) equals Z(start, end) iff the two have
+                # one shape and valuations k apart; a check that holds shows direct twice
+                k = step * (end.i - start.i)
+                z, v_shifted, shape_shifted = cells[end.i - ri, end.j - rj]
+                holds = v_shifted + k == v and shape_shifted == shape
                 entries.append(_report_entry(
-                    "TF", {"I": names[start], "F": names[end], "P": names[ref]},
-                    direct == translated, direct, translated))
+                    "TF", {**params, "P": name}, holds,
+                    direct, direct if holds else LaurentPoly.q_power(k) * z))
     return entries

@@ -60,8 +60,8 @@ class LaurentPoly:
         """The monomial q^exponent."""
         if type(exponent) is not int:
             return cls({exponent: 1})   # a bool or a non-int goes through the checks
-        # _translation_factor builds one monomial per identity check, path_weight one
-        # per bond of an enumerated path: skip the term checks
+        # path_weight builds one monomial per bond of an enumerated path: skip the
+        # term checks
         return _unchecked({exponent: 1})
 
     # -- inspection --------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The slow path the packed sweep replaces, shared by the tests that check it.
+"""The dict-polynomial slow paths that the packed sweep and the packed
+convolution replace, shared by the tests that check them.
 
-Import it from a test module as ``from sweep_reference import reference_tables``.
+Import them from a test module as
+``from sweep_reference import reference_convolution, reference_tables``.
 """
 
 from spinpaths.lattice import H_STEP, V_STEP
+from spinpaths.partition import interface_closed_form
 from spinpaths.qpoly import ONE, ZERO
 
 
@@ -27,3 +30,16 @@ def reference_tables(scheme, start, end):
             z = z + scheme.bond_weight(i, j, V_STEP) * bwd[i, j + 1]
         bwd[i, j] = z
     return fwd, bwd
+
+
+def reference_convolution(inst):
+    """The pinned partition function as a convolution of interface closed
+    forms, summed as LaurentPoly products."""
+    total = ZERO
+    # a term with n > K, or with N - n > L + 1, has a zero factor
+    for n in range(max(0, inst.N - inst.L - 1), min(inst.N, inst.K) + 1):
+        np_ = inst.N - n
+        bracket = interface_closed_form(np_ - 1, inst.L - np_ + 1) + \
+            interface_closed_form(np_, inst.L - np_)
+        total = total + interface_closed_form(n, inst.K - n) * bracket
+    return total

@@ -372,8 +372,8 @@ class TestVerifyCommand:
         assert json.loads(out)["all_hold"] is True
 
     def test_injected_failure_exits_one(self, capsys, monkeypatch):
-        real = partition.pinned_via_convolution
-        monkeypatch.setattr(partition, "pinned_via_convolution", lambda inst: real(inst) + 1)
+        real = partition._convolution
+        monkeypatch.setattr(partition, "_convolution", lambda *args: real(*args) + 1)
         code, out, _ = run(capsys, "verify", "--max-K", "0", "--max-L", "0")
         assert code == 1
         payload = json.loads(out)
@@ -387,6 +387,44 @@ class TestVerifyCommand:
             rhs = LaurentPoly.from_json_obj(e["rhs"]["terms"])
             assert e["lhs"]["schema"] == e["rhs"]["schema"] == "spinpaths/polynomial/1"
             assert rhs == lhs + 1
+
+    @pytest.mark.parametrize("perturb", [lambda z: 2 * z, lambda z: LaurentPoly.q_power(1) * z],
+                             ids=["shape", "valuation"])
+    def test_failing_translation_checks(self, capsys, monkeypatch, perturb):
+        # one shifted table, the one from (1, 2), reads every cell perturbed
+        shifted_start = Point(1, 2)
+        real = partition.forward_table
+
+        def perturbed(scheme, start, end, q0=None):
+            table = real(scheme, start, end, q0)
+            if (start, end) == (shifted_start, Point(4, 4)):
+                decode = table._decode
+                table._decode = lambda n, a, b: perturb(decode(n, a, b))
+            return table
+
+        monkeypatch.setattr(partition, "forward_table", perturbed)
+        entries = [e for e in identity_suite(1, 0, [Fraction(1, 2)]) if e["identity"] == "TF"]
+        named = {str(Point(i, j)): Point(i, j) for i in range(-2, 3) for j in range(-2, 3)}
+        failing = []
+        for e in entries:
+            start, end, ref = (named[e["parameters"][k]] for k in "IFP")
+            shifted = Point(start.i - ref.i, start.j - ref.j)
+            assert e["holds"] is (shifted != shifted_start), e["parameters"]
+            if shifted == shifted_start:
+                failing.append(e)
+                # the sides by the enumeration oracle, which reads no table
+                z = partition.partition_bruteforce(InterfaceXXZ(), shifted,
+                                                   Point(end.i - ref.i, end.j - ref.j))
+                k = 2 * (ref.i + ref.j) * (end.i - start.i)
+                assert e["rhs"] == LaurentPoly.q_power(k) * perturb(z)
+                assert e["lhs"] == partition.partition_bruteforce(InterfaceXXZ(), start, end)
+        assert failing
+        code, out, _ = run(capsys, "verify", "--max-K", "1", "--max-L", "0")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_hold"] is False
+        assert {e["identity"] for e in payload["failures"]} == {"TF"}
+        assert len(payload["failures"]) == payload["summary"]["TF"]["failed"] == len(failing)
 
     def test_full_listing(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-K", "0", "--max-L", "0", "--full")

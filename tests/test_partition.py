@@ -1,12 +1,14 @@
 """Partition functions: DP vs enumeration, closed form, translation,
 pinned-chain representations, and the recursion identities."""
 
+import functools
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinpaths import (CorrelationQuery, CustomTable, InterfaceXXZ, LaurentPoly,
                        PinnedInstance, PinnedRep1, PinnedRep2, Point, SamplerState,
@@ -22,7 +24,7 @@ from spinpaths import partition
 from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond
 from spinpaths.partition import rec1_sides, rec2_rhs
 from spinpaths.qpoly import ZERO
-from sweep_reference import reference_tables
+from sweep_reference import reference_convolution, reference_tables
 
 ORIGIN = Point(0, 0)
 
@@ -522,6 +524,24 @@ class TestConvolution:
                 for N in range(K + L + 2):
                     inst = PinnedInstance(K=K, L=L, N=N)
                     assert pinned_via_convolution(inst) == pinned_rep2(inst), (K, L, N)
+
+    @given(st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
+        lambda kl: st.builds(PinnedInstance, K=st.just(kl[0]), L=st.just(kl[1]),
+                             N=st.integers(0, kl[0] + kl[1] + 1))))
+    @example(PinnedInstance(K=0, L=0, N=0))
+    @example(PinnedInstance(K=0, L=5, N=6))
+    @example(PinnedInstance(K=6, L=0, N=0))
+    @example(PinnedInstance(K=8, L=8, N=17))
+    @example(PinnedInstance(K=8, L=8, N=8))
+    def test_packed_equals_dict_convolution(self, inst):
+        want = reference_convolution(inst)
+        # the suite's packer, at the width of the grid up to (K, L)
+        sites = inst.K + inst.L + 1
+        width = math.comb(sites, sites // 2).bit_length()
+        grid = functools.cache(partition._closed_form_packer(width))
+        assert partition._convolution(inst, grid, width) == want
+        # the public one, at the instance's own width C(sites, N)
+        assert pinned_via_convolution(inst) == want
 
     def test_sums_only_nonzero_terms(self, monkeypatch):
         # each term asks for its bracket's two closed forms, then Z_if(n, K - n)
