@@ -3,11 +3,11 @@
 Step probabilities come from the backward partition table, so a sampled
 path is distributed exactly per the measure (up to the one double
 conversion at the uniform-draw comparison, bounded by 2^-52 per step and
-negligible against Monte Carlo error).  The generator is counter-based
-(Philox), so derived streams are provably disjoint and any draw is reached by
-setting the counter: step t of row g reads draw (g // BLOCK)·BLOCK·T +
-t·BLOCK + g % BLOCK, T being the step count.  So `BLOCK` is part of the
-stream; fixed-seed output changed once, when this layout replaced row-major.
+negligible against Monte Carlo error).  numpy's PCG64DXSM generator reaches
+any draw with `advance`, and a substream jumps it ≈ 0.618·2^128 draws per jump.
+Step t of row g reads draw (g // BLOCK)·BLOCK·T + t·BLOCK + g % BLOCK, T the
+step count, so `BLOCK` is part of the stream; fixed-seed output changed when
+this layout replaced row-major and when PCG64DXSM replaced Philox.
 numpy is imported inside the functions that use it, so importing the package
 does not load it.
 """
@@ -26,7 +26,7 @@ from .weights import WeightScheme
 
 # rows per chunk of the stream layout and per pass of the walk: bounds the
 # uniforms the walk holds and the path list the CLI holds, whatever the number
-# of samples.  A multiple of 4, so every chunk starts a Philox counter value
+# of samples.  Part of the stream layout, so it fixes every fixed-seed output
 BLOCK = 4096
 
 
@@ -35,8 +35,8 @@ class SamplerState:
 
     Holds the per-point horizontal-step probabilities by anti-diagonal
     (formed as exact rationals from the backward sweep, two diagonals of it
-    at a time, and converted to double once), the Philox stream and `rows`,
-    the number of rows drawn from it.  `_walk` is the only reader of `rng`.
+    at a time, and converted to double once), the PCG64DXSM stream and
+    `rows`, the number of rows drawn from it.  `_walk` alone reads `rng`.
     """
 
     def __init__(self, scheme: WeightScheme, start: Point, end: Point, q0, seed: int):
@@ -78,42 +78,40 @@ class SamplerState:
         if above[0] == 0:   # the last diagonal is the start cell
             raise DegenerateEnsemble.vanishing(start, end, q0)
         self.diag = diag
-        self._open_stream(np.random.Generator(np.random.Philox(key=seed)))
+        self._open_stream(np.random.Generator(np.random.PCG64DXSM(seed)))
 
     def substream(self, index: int) -> "SamplerState":
         """A sampler over the same ensemble with a disjoint random stream.
 
-        Stream index k jumps the Philox counter k+1 times (2^128 draws per
-        jump), so workers never overlap each other or the base stream.
+        Stream index k is the base stream jumped k+1 times (≈ 0.618·2^128
+        draws per jump), so workers read far apart from each other and the base.
         """
         if index < 0:
             raise ValueError(f"substream index {index} is negative")
         import numpy as np
 
         clone = copy.copy(self)
-        clone._open_stream(np.random.Generator(np.random.Philox(key=self.seed).jumped(index + 1)))
+        clone._open_stream(np.random.Generator(np.random.PCG64DXSM(self.seed).jumped(index + 1)))
         return clone
 
     def _open_stream(self, rng):
-        """Start at row 0 of `rng`'s stream, keeping its state in ints as the
-        template `_read` sets the counter in."""
+        """Start at row 0 of `rng`'s stream, keeping its first state, which
+        `_read` returns to before it advances to an earlier draw."""
         self.rng = rng
         self.rows = 0
-        self._template = rng.bit_generator.state
-        self._template["state"] = {k: v.tolist() for k, v in self._template["state"].items()}
-        self._template["buffer"] = self._template["buffer"].tolist()
+        self._first = rng.bit_generator.state
         self._at = 0   # the draw index the generator reads next
 
 
 def _read(state: SamplerState, index: int, out: np.ndarray) -> None:
-    """Fill `out` with the stream's uniforms from draw `index` on."""
-    if index != state._at:
-        # Philox steps the counter before each four draws; a stream starts with
-        # the low word at 0 (a jump moves the third), so only that word moves
-        state._template["state"]["counter"][0] = index // 4
-        state.rng.bit_generator.state = state._template
-        if index % 4:
-            state.rng.bit_generator.random_raw(index % 4)
+    """Fill `out` with the stream's uniforms from draw `index` on: `advance`
+    to a later index, or re-seat at the first state to reach an earlier one."""
+    bit_generator = state.rng.bit_generator
+    if index < state._at:
+        bit_generator.state = state._first
+        state._at = 0
+    if index > state._at:
+        bit_generator.advance(index - state._at)
     state.rng.random(out=out)
     state._at = index + out.size
 
@@ -125,7 +123,8 @@ def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None 
     The only reader of the stream.  Row g reads the uniform of step t at its
     (row, step) address, so its steps depend on neither `steps` nor the calls'
     split, and only walked steps are drawn.  A whole chunk's steps lie
-    together, so it sets the counter once; a part of a chunk, once a step.
+    together, so it reads them in one run; a part of a chunk advances the
+    generator once a step, after a re-seat if an earlier call read further.
     A row with `a` H steps after `t` steps sits at (a, t - a), so its count
     is all the walk tracks.  The table forces the steps on the far edges by
     itself: its probability is exactly 0.0 where a = di (h = 0) and exactly

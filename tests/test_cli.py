@@ -88,7 +88,7 @@ class TestPartitionCommand:
     ("profile -K 30 -L 30 -N 30 --q 3/10",
      "3b0fcbc44e190d3717d9430cbc856277e7b72d95d8cb9a3f7d2f09a9a94e0538"),
     ("sample --scheme rep2 --from=-10,-10 --to 10,10 --q 4/5 --seed 7 --n 200",
-     "543fa0d36744a1bc20eb3dfedfd9d24f15b21eeb880a41f202778ad8d86571c4"),
+     "131868ee9b492670f180e2e49885be1e9b799f0676a123c308c518bfb0971fa2"),
 ], ids=["interface-40x40", "rep2-400x1", "rep1-20x21", "profile-30", "sample-rep2-20x20"])
 def test_large_sweeps_print_the_same_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
