@@ -68,7 +68,7 @@ def rational_json(value: Fraction) -> dict:
 
 
 def _scheme(args) -> object:
-    return scheme_from_name(args.scheme, K=getattr(args, "K", None), L=getattr(args, "L", None))
+    return scheme_from_name(args.scheme, K=args.K, L=args.L)
 
 
 # -- subcommand handlers ----------------------------------------------------

@@ -52,7 +52,7 @@ class PartitionTable:
     """
 
     def __init__(self, codes: list,
-                 decode: Callable[[int, int, int], LaurentPoly | Fraction],
+                 decode: Callable[[int, int], LaurentPoly | Fraction],
                  start: Point, end: Point, step: int):
         # an encoded weight (m, k) is the int m << k.  codes[d] is the horizontal
         # weight on the tail diagonal i + j = start.i + start.j + d (see _encoding)
@@ -84,35 +84,31 @@ class PartitionTable:
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
         """The cell at point, decoded.
 
-        The encoding of a value depends only on how many horizontal and
-        vertical steps it spans, so a sum of products of cells and weights
-        along whole paths from one corner to the other reads at the far
-        corner.
+        The encoding of a value depends only on how many horizontal steps
+        it spans, so a sum of products of cells and weights along whole
+        paths from one corner to the other reads at the far corner.
         """
-        origin = self.origin
-        return self._decode(self.values.get(point, 0),
-                            abs(point[0] - origin[0]), abs(point[1] - origin[1]))
+        return self._decode(self.values.get(point, 0), abs(point[0] - self.origin[0]))
 
     def far_corner(self) -> LaurentPoly | Fraction:
         """Z(start, end), the cell opposite the origin, by a sweep that holds
         one diagonal at a time."""
-        start, end = self._start, self._end
         last = _last(self.sweep())
-        return self._decode(last[2][0] if last else 0, end.i - start.i, end.j - start.j)
+        return self._decode(last[2][0] if last else 0, self._end.i - self._start.i)
 
 
 def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | None):
     """Encode the bond weights of the rectangle [start, end] as ints.
 
-    Returns (codes, decode) as PartitionTable holds them; decode(n, a, b)
-    reads a value that spans a horizontal and b vertical steps.  A named
-    scheme weighs a vertical bond as 1 and a horizontal one with tail on
-    the diagonal s = i + j as q^e, e = h_exponent(s + 1), so codes holds
-    one code per tail diagonal, built from the ints alone.  With V =
-    min(0, lowest e) and D = max(0, highest e), such a value is offset by
-    a*V, and an encoded weight is stored as (m, k), the int m << k with m
-    odd, so a product by a power of 2, such as a monomial's code, is a
-    shift.
+    Returns (codes, decode) as PartitionTable holds them; decode(n, a)
+    reads a value that spans a horizontal steps, which alone set its
+    encoding.  A named scheme weighs a vertical bond as 1 and a horizontal
+    one with tail on the diagonal s = i + j as q^e, e = h_exponent(s + 1),
+    so codes holds one code per tail diagonal, built from the ints alone.
+    With V = min(0, lowest e) and D = max(0, highest e), such a value is
+    offset by a*V, and an encoded weight is stored as (m, k), the int
+    m << k with m odd, so a product by a power of 2, such as a monomial's
+    code, is a shift.
     - Polynomials (Kronecker substitution): offset exponents are strided by
       g, their gcd, and q^e goes to the w-bit slot (e - V) / g, w the bit
       length of C(n+m, n), the path count, so the code is (1, w * (e - V) / g).
@@ -127,7 +123,7 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
                         "use partition_bruteforce")
     if end.i < start.i or end.j < start.j:
         zero = ZERO if q0 is None else Fraction(0)
-        return [], lambda n, a, b: zero
+        return [], lambda n, a: zero
     i0, j0 = start
     i1, j1 = end
     di, dj = i1 - i0, j1 - j0
@@ -140,13 +136,13 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
         stride = functools.reduce(math.gcd, [e - low for e in exps], 0) or 1
         width = math.comb(di + dj, di).bit_length()
         return ([(1, width * (e - low) // stride) for e in exps],
-                lambda n, a, b: unpack(n, width, stride, a * low, False))
+                lambda n, a: unpack(n, width, stride, a * low))
     p, r = q0.numerator, q0.denominator
     if p == 0 and low < 0:
         raise ZeroToNegativePower("negative power of q at q = 0")
     scale = p ** -low * r ** high
     return ([_odd_and_shift(p ** (e - low) * r ** (high - e)) for e in exps],
-            lambda n, a, b: Fraction(n, scale ** a))
+            lambda n, a: Fraction(n, scale ** a))
 
 
 def _odd_and_shift(n: int) -> tuple[int, int]:
@@ -331,7 +327,7 @@ def _convolution(inst: PinnedInstance, packed: Callable[[int, int], int],
         np_ = inst.N - n
         bracket = packed(np_ - 1, inst.L - np_ + 1) + packed(np_, inst.L - np_)
         total += packed(n, inst.K - n) * bracket
-    return unpack(total, width, 2, 0, False)
+    return unpack(total, width, 2, 0)
 
 
 # -- recursion identities ---------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Collection, Mapping
 
 # the fewest terms of the smaller operand of a product taken by Kronecker
-# substitution; wide or signed slots need more (see _packed_product)
+# substitution; wide slots need more (see _packed_product)
 PACK_MIN_TERMS = 24
 
 
@@ -294,11 +294,10 @@ def pack(terms: Collection[tuple[int, int]], width: int, stride: int, shift: int
     """Kronecker substitution, the inverse of unpack: the int sum of
     c * 2^(width * (e - shift) / stride) over the (e, c) pairs.
 
-    Every exponent must lie on the stride above shift, and every |c| below
-    2^width.  The slots from the highest term down to the lowest are
+    Every exponent must lie on the stride above shift, and every c in
+    [0, 2^width).  The slots from the highest term down to the lowest are
     rendered as one binary string of width-bit fields, read by one int()
-    and shifted into place, so this is linear in the size of the result;
-    negative coefficients are rendered apart and subtracted.
+    and shifted into place, so this is linear in the size of the result.
     """
     if not terms:
         return 0
@@ -306,52 +305,42 @@ def pack(terms: Collection[tuple[int, int]], width: int, stride: int, shift: int
     dense = [0] * ((top - low) // stride + 1)
     for e, c in terms:
         dense[(top - e) // stride] = c
-    field = f"{{:0{width}b}}".format
-    if min(dense) >= 0:
-        n = int("".join(map(field, dense)), 2)
-    else:
-        n = int("".join(field(c if c > 0 else 0) for c in dense), 2) \
-            - int("".join(field(-c if c < 0 else 0) for c in dense), 2)
+    n = int("".join(map(f"{{:0{width}b}}".format, dense)), 2)
     return n << width * ((low - shift) // stride)
 
 
 def _packed_product(a: dict[int, int], b: dict[int, int]) -> LaurentPoly | None:
     """The product of two term dicts, a the smaller, as one int product of
-    their packings; None when the double loop is expected to be faster.
+    their packings; None when the double loop is expected to be faster, or
+    when a coefficient is negative.
 
     Both operands are strided by the gcd of their offset exponents.  A
-    product coefficient is at most min(|a|_1 * max|b|, |b|_1 * max|a|) in
-    size, so slots of that many bits, plus a sign bit when a coefficient is
-    negative, never carry into each other; unpack reads the borrows.  The
-    packing costs more per term as the slots widen, and renders twice when
-    signed, so a needs PACK_MIN_TERMS terms, 8 more when signed, and one
-    more per 12 bits of width.  Operands so sparse that the packed product
-    would hold more slots than the double loop takes steps are declined
-    too.
+    product coefficient is at most min(sum(a) * max(b), sum(b) * max(a)),
+    so slots of that many bits never carry into each other.  The packing
+    costs more per term as the slots widen, so a needs PACK_MIN_TERMS
+    terms and one more per 12 bits of width.  Operands so sparse that the
+    packed product would hold more slots than the double loop takes steps
+    are declined too.
     """
+    ca, cb = a.values(), b.values()
+    if min(ca) < 0 or min(cb) < 0:
+        return None
     low_a, low_b = min(a), min(b)
     stride = math.gcd(*(e - low_a for e in a), *(e - low_b for e in b)) or 1
     if (max(a) - low_a + max(b) - low_b) // stride + 1 > len(a) * len(b):
         return None
-    abs_a, abs_b = list(map(abs, a.values())), list(map(abs, b.values()))
-    bound = min(sum(abs_a) * max(abs_b), sum(abs_b) * max(abs_a))
-    signed = min(a.values()) < 0 or min(b.values()) < 0
-    width = bound.bit_length() + signed
-    if len(a) < PACK_MIN_TERMS + 8 * signed + width // 12:
+    width = min(sum(ca) * max(cb), sum(cb) * max(ca)).bit_length()
+    if len(a) < PACK_MIN_TERMS + width // 12:
         return None
     n = pack(a.items(), width, stride, low_a) * pack(b.items(), width, stride, low_b)
-    return unpack(n, width, stride, low_a + low_b, signed)
+    return unpack(n, width, stride, low_a + low_b)
 
 
-def unpack(n: int, width: int, stride: int, shift: int, signed: bool) -> LaurentPoly:
+def unpack(n: int, width: int, stride: int, shift: int) -> LaurentPoly:
     """Invert a Kronecker substitution: the polynomial whose coefficient at
     q^(shift + stride*s) is slot s of n, the s-th width-bit field from the
-    low end.
-
-    Unsigned slots hold coefficients in [0, 2^width); signed slots hold
-    them in [-2^(width-1), 2^(width-1)) and may borrow from the slot above.
-    One binary rendering of n and one int() per slot keep this linear in
-    the size of n.
+    low end, in [0, 2^width).  One binary rendering of n and one int() per
+    slot keep this linear in the size of n.
     """
     if not n:
         return ZERO
@@ -359,21 +348,14 @@ def unpack(n: int, width: int, stride: int, shift: int, signed: bool) -> Laurent
     empty = ((n & -n).bit_length() - 1) // width
     n >>= width * empty
     shift += stride * empty
-    half = 1 << (width - 1) if signed else 0
-    if -half <= n < (1 << width) - half:
+    if n < 1 << width:
         return _unchecked({shift: n})   # one slot left: n is its coefficient
-    if signed:
-        # adding 2^(width-1) to every slot makes each one a plain unsigned field; a
-        # top slot of 1 over a lower slot near -2^(width-1) leaves n one bit short
-        slots = n.bit_length() // width + 2
-        bits = format(n + int(("1" + "0" * (width - 1)) * slots, 2), "b").zfill(slots * width)
-    else:
-        bits = format(n, "b")
-        bits = bits.zfill(-(-len(bits) // width) * width)
+    bits = format(n, "b")
+    bits = bits.zfill(-(-len(bits) // width) * width)
     top = shift + stride * (len(bits) // width - 1)
     terms = {}
     for k in range(0, len(bits), width):
-        c = int(bits[k:k + width], 2) - half
+        c = int(bits[k:k + width], 2)
         if c:
             terms[top - stride * (k // width)] = c
     return _unchecked(terms)

@@ -399,7 +399,7 @@ class TestVerifyCommand:
             table = real(scheme, start, end, q0)
             if (start, end) == (shifted_start, Point(4, 4)):
                 decode = table._decode
-                table._decode = lambda n, a, b: perturb(decode(n, a, b))
+                table._decode = lambda n, a: perturb(decode(n, a))
             return table
 
         monkeypatch.setattr(partition, "forward_table", perturbed)

@@ -302,7 +302,7 @@ class TestWeightCodes:
                     weight = scheme.bond_weight(i, j, o)
                     want = weight * table[head] if q0 is None else weight.evaluate(q0) * table[head]
                     got = table.times(i, j, o, table.values[head])
-                    assert table._decode(got, end.i - i, end.j - j) == want
+                    assert table._decode(got, end.i - i) == want
 
 
 @settings(max_examples=60, deadline=None)

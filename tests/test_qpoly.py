@@ -118,23 +118,31 @@ class TestPackedProduct:
     @pytest.mark.parametrize("alternate", [False, True])
     def test_slot_edges(self, ca, cb, alternate):
         # 85 equal coefficients times 85 more: the middle product coefficient
-        # is 85 * ca * cb, the slot bound itself, and 85 * 3 = 2^8 - 1 and
-        # 85 * 257 * 3 = 2^16 - 1 fill a slot to its edge; signs alternating
-        # in b make the slots borrow from the ones above
+        # is 85 * ca * cb, the slot bound itself, and 85 * 3 = 2^8 - 1 fills a
+        # slot to its edge.  The slots are unsigned, so operands with a
+        # negative coefficient, such as b with alternating signs, are declined
+        # and take the double loop
         n = 85
         a = poly({2 * k - 5: ca for k in range(n)})
         b = poly({2 * k: -cb if alternate and k % 2 else cb for k in range(n)})
-        assert _packed_product(a._terms, b._terms) is not None
+        packed = ca > 0 and cb > 0 and not alternate
+        assert (_packed_product(a._terms, b._terms) is not None) == packed
         assert a * b == double_loop(a, b)
 
     @pytest.mark.parametrize("size, coeff, packed", [
         (PACK_MIN_TERMS, 1, True),
-        (31, -1, False), (32, -1, True),           # signed: 8 more terms
         (90, 2**400, False), (91, 2**400, True),   # 807-bit slots: 807 // 12 = 67 more
     ])
-    def test_threshold_grows_with_sign_and_width(self, size, coeff, packed):
+    def test_threshold_grows_with_width(self, size, coeff, packed):
         a = poly({k: coeff for k in range(size)})
         assert (_packed_product(a._terms, a._terms) is not None) == packed
+        assert a * a == double_loop(a, a)
+
+    def test_a_negative_coefficient_takes_the_double_loop(self):
+        # 91 terms at 807-bit slots meet the threshold above, but one -1
+        # does not fit an unsigned slot
+        a = poly({k: 2**400 for k in range(90)} | {90: -1})
+        assert _packed_product(a._terms, a._terms) is None
         assert a * a == double_loop(a, a)
 
     def test_sparse_operands_take_the_double_loop(self):
@@ -144,14 +152,15 @@ class TestPackedProduct:
         assert _packed_product(a._terms, a._terms) is None
         assert a * a == double_loop(a, a)
 
-    @given(st.dictionaries(st.integers(-20, 20), st.integers(-2**12 + 1, 2**12 - 1),
+    @given(st.dictionaries(st.integers(-20, 20), st.integers(0, 2**13 - 1),
                            max_size=10), st.sampled_from([1, 2, 5]))
+    @example({3: 2**13 - 1, 4: 2**13 - 1}, 2)
     def test_pack_is_the_substitution_unpack_inverts(self, terms, stride):
         p = poly({stride * e: c for e, c in terms.items()})
         shift = min(p._terms, default=0) - stride * 2
         n = pack(p.items(), 13, stride, shift)
         assert n == sum(c << 13 * ((e - shift) // stride) for e, c in p.items())
-        assert unpack(n, 13, stride, shift, True) == p
+        assert unpack(n, 13, stride, shift) == p
 
 
 class TestDivExact:
@@ -331,16 +340,15 @@ class TestRefusals:
 @given(st.integers(2, 12), st.integers(1, 3), st.integers(-20, 20), st.data())
 @example(4, 1, 0, None)
 def test_unpack_inverts_packing(width, stride, shift, data):
-    # coefficients fill their slots up to the edge; a top slot of 1 over two
-    # slots of -2^(width-1) packs to an int a bit shorter than three slots
-    half = 1 << (width - 1)
+    # coefficients fill their slots up to the edge; two full slots over two
+    # empty ones leave empty low slots to drop and a multi-slot rest
+    full = (1 << width) - 1
     if data is None:
-        coeffs, signed = [-half, -half, 1], True
+        coeffs = [0, 0, full, full]
     else:
-        signed = data.draw(st.booleans())
-        slot = st.integers(-half, half - 1) if signed else st.integers(0, 2 * half - 1)
-        coeffs = data.draw(st.lists(st.one_of(slot, st.sampled_from([0, half - 1])), max_size=8))
+        slot = st.integers(0, full)
+        coeffs = data.draw(st.lists(st.one_of(slot, st.sampled_from([0, full])), max_size=8))
     n = sum(c << width * s for s, c in enumerate(coeffs))
     expected = LaurentPoly({shift + stride * s: c for s, c in enumerate(coeffs)})
-    assert unpack(n, width, stride, shift, signed) == expected
+    assert unpack(n, width, stride, shift) == expected
 
