@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import H_STEP, Point, enumerate_paths
+from .lattice import Point, enumerate_paths
 from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, pack, unpack
 from .spin import PinnedInstance, check_q, norm_squared
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
@@ -72,13 +72,10 @@ class PartitionTable:
         """The diagonals from the origin out, one at a time (see _sweep)."""
         return _sweep(self)
 
-    def times(self, i: int, j: int, orientation: str, n: int) -> int:
-        """n times the encoded weight of the bond with tail (i, j), which
-        must lie on the rectangle: its diagonal's one code for a horizontal
-        bond, and n for a vertical one."""
-        if orientation != H_STEP:
-            return n
-        m, k = self._codes[i + j - self._start.i - self._start.j]
+    def times(self, d: int, n: int) -> int:
+        """n times the encoded weight of a horizontal bond on the tail diagonal
+        i + j = start.i + start.j + d, which must meet the rectangle."""
+        m, k = self._codes[d]
         return (m * n) << k
 
     def __getitem__(self, point: Point) -> LaurentPoly | Fraction:
@@ -222,9 +219,30 @@ def backward_table(scheme: WeightScheme, start: Point, end: Point, q0=None) -> P
 
 def partition_dp(scheme: WeightScheme, start: Point, end: Point,
                  q0=None) -> LaurentPoly | Fraction:
-    """Z(start, end) by the sphere sweep, at q = q0 if given; 0 when the
-    rectangle is empty.  The sweep holds one diagonal at a time."""
-    return forward_table(scheme, start, end, q0).far_corner()
+    """Z(start, end), at q = q0 if given; 0 when the rectangle is empty.  The
+    sphere sweep holds one diagonal at a time.  A nonempty interface Z at q0 != 0
+    is the closed form, moved by the translation identity, in gaussian_ints' ints:
+    q0^(n(n+1) + 2(start.i+start.j)n) [n+m, n]_(q0^2), (n, m) = end - start."""
+    n, m = end.i - start.i, end.j - start.j
+    q0 = q0 if q0 is None else Fraction(q0)
+    if not q0 or n < 0 or m < 0 or not isinstance(scheme, InterfaceXXZ):
+        return forward_table(scheme, start, end, q0).far_corner()
+    a, b = min(n, m), max(n, m)
+    g = gaussian_ints(q0, a + b)
+    w = q0 ** (n * (n + 1) + 2 * (start.i + start.j) * n)
+    return Fraction(w.numerator * math.prod(g[b + 1:]),
+                    w.denominator * math.prod(g[1:a + 1]) * q0.denominator ** (2 * a * b))
+
+
+def gaussian_ints(q0: Fraction, top: int) -> list[int]:
+    """G_0..G_top at q0 = p/r: G_0 = 0 and G_(k+1) = r^2 G_k + p^(2k), so G_k is
+    (r^2k - p^2k) / (r^2 - p^2), k at q0 = +-1, that is (1 - x^k) / (1 - x) times
+    r^(2(k-1)), x = q0^2, and [b+a, a]_x = prod G_(b+i) / (prod G_i * r^(2ab))."""
+    p2, r2 = q0.numerator ** 2, q0.denominator ** 2
+    g = [0]
+    for k in range(top):
+        g.append(r2 * g[-1] + p2 ** k)
+    return g
 
 
 def partition_bruteforce(scheme: WeightScheme, start: Point, end: Point) -> LaurentPoly:

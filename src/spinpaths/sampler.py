@@ -1,10 +1,11 @@
 """Exact sampling from the path measure w(p)/Z and Monte Carlo estimators.
 
-Step probabilities come from the backward partition table, so a sampled
-path is distributed exactly per the measure (up to the one double
-conversion at the uniform-draw comparison, bounded by 2^-52 per step and
-negligible against Monte Carlo error).  numpy's PCG64DXSM generator reaches
-any draw with `advance`, and a substream jumps it ≈ 0.618·2^128 draws per jump.
+Step probabilities are exact ratios, from the backward partition table or,
+for the interface at q != 0, from its closed form, so a sampled path is
+distributed exactly per the measure (up to the one double conversion at the
+uniform-draw comparison, 2^-52 per step, negligible against Monte Carlo
+error).  numpy's PCG64DXSM generator reaches any draw with `advance`, and a
+substream jumps it ≈ 0.618·2^128 draws per jump.
 Step t of row g reads draw (g // BLOCK)·BLOCK·T + t·BLOCK + g % BLOCK, T the
 step count, so `BLOCK` is part of the stream; fixed-seed output changed when
 this layout replaced row-major and when PCG64DXSM replaced Philox.
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 from .correlations import DegenerateEnsemble
 from .lattice import H_STEP, LatticePath, Point, V_STEP
-from .partition import InternalIdentityFailure, backward_table
-from .weights import WeightScheme
+from .partition import InternalIdentityFailure, backward_table, gaussian_ints
+from .weights import InterfaceXXZ, WeightScheme
 
 
 # rows per chunk of the stream layout and per pass of the walk: bounds the
@@ -33,9 +34,9 @@ BLOCK = 4096
 class SamplerState:
     """Sampling context for one rectangle ensemble.
 
-    Holds the per-point horizontal-step probabilities by anti-diagonal
-    (formed as exact rationals from the backward sweep, two diagonals of it
-    at a time, and converted to double once), the PCG64DXSM stream and
+    Holds the per-point horizontal-step probabilities by anti-diagonal (exact
+    rationals from the backward sweep or, for the interface at q0 != 0, the
+    closed form, each converted to double once), the PCG64DXSM stream and
     `rows`, the number of rows drawn from it.  `_walk` alone reads `rng`.
     """
 
@@ -50,33 +51,43 @@ class SamplerState:
         self.start = start
         self.end = end
         self.seed = seed
-        # a step's probability is W * Z(next) / Z(here); the encodings' scales
-        # cancel in the ratio, so it is formed from the encoded ints directly.
-        # The walk reads them by anti-diagonal: after t steps a path with a H
-        # steps sits at (a, t - a), whose probability is diag[t, a] (0.0 where
-        # t - a falls outside [0, dj], a cell no walk reaches).  The backward
-        # sweep yields the diagonals from the end down, so each row is filled
-        # as its diagonal arrives, from it and the one before it
-        table = backward_table(scheme, start, end, q0)
-        diag = np.zeros((end.i - start.i + end.j - start.j, end.i - start.i + 1),
-                        dtype=np.float64)
-        above = above_lo = None   # the diagonal one step nearer the end
-        for s, lo, cells in table.sweep():
-            if above is not None:
-                row = diag[s - start.i - start.j]
-                for i, z_here in enumerate(cells, lo):
-                    if z_here == 0:
-                        continue  # unreachable at this q; probability never consulted
-                    j = s - i
-                    h = table.times(i, j, H_STEP, above[i + 1 - above_lo]) if i < end.i else 0
-                    v = table.times(i, j, V_STEP, above[i - above_lo]) if j < end.j else 0
-                    if h + v != z_here:
-                        raise InternalIdentityFailure(
-                            f"step probabilities at {Point(i, j)} sum to {Fraction(h + v, z_here)}")
-                    row[i - start.i] = h / z_here   # int true division rounds correctly
-            above, above_lo = cells, lo
-        if above[0] == 0:   # the last diagonal is the start cell
-            raise DegenerateEnsemble.vanishing(start, end, q0)
+        # The walk reads the step probabilities by anti-diagonal: after t steps
+        # a path with a H steps sits at (a, t - a), whose probability is
+        # diag[t, a] (0.0 where t - a falls outside [0, dj], a cell no walk
+        # reaches).  Each is an exact ratio of ints; int true division rounds it
+        closed = isinstance(scheme, InterfaceXXZ) and q0
+        table = None if closed else backward_table(scheme, start, end, q0)
+        di, dj = end.i - start.i, end.j - start.j
+        diag = np.zeros((di + dj, di + 1), dtype=np.float64)
+        if closed:
+            # by the closed form, a path with n H and m V steps left takes H with
+            # probability (1 - x^n) / (1 - x^(n+m)), x = q0^2: r^(2m) G_n / G_(n+m)
+            g = gaussian_ints(q0, di + dj)
+            r2k = [q0.denominator ** (2 * k) for k in range(dj + 1)]
+            for t, row in enumerate(diag):
+                lo, hi, z = max(0, t - dj), min(di, t), g[di + dj - t]
+                row[lo:hi + 1] = [r2k[dj - t + a] * g[di - a] / z for a in range(lo, hi + 1)]
+        else:
+            # W * Z(next) / Z(here) in the encoded ints, whose scales cancel: each
+            # row as its diagonal arrives from the end down, from the one before
+            above = above_lo = None   # the diagonal one step nearer the end
+            for s, lo, cells in table.sweep():
+                if above is not None:
+                    t = s - start.i - start.j
+                    row = diag[t]
+                    for i, z_here in enumerate(cells, lo):
+                        if z_here == 0:
+                            continue  # unreachable at this q; probability never consulted
+                        j = s - i
+                        h = table.times(t, above[i + 1 - above_lo]) if i < end.i else 0
+                        v = above[i - above_lo] if j < end.j else 0
+                        if h + v != z_here:
+                            raise InternalIdentityFailure(f"step probabilities at {Point(i, j)} "
+                                                          f"sum to {Fraction(h + v, z_here)}")
+                        row[i - start.i] = h / z_here
+                above, above_lo = cells, lo
+            if above[0] == 0:   # the last diagonal is the start cell
+                raise DegenerateEnsemble.vanishing(start, end, q0)
         self.diag = diag
         self._open_stream(np.random.Generator(np.random.PCG64DXSM(seed)))
 

@@ -1,13 +1,25 @@
 """The dict-polynomial slow paths that the packed sweep and the packed
-convolution replace, shared by the tests that check them.
+convolution replace, shared by the tests that check them, and the q0 values
+the tests of the fixed-q ring draw.
 
 Import them from a test module as
-``from sweep_reference import reference_convolution, reference_tables``.
+``from sweep_reference import fixed_q_values, reference_convolution, reference_tables``.
 """
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from spinpaths.lattice import H_STEP, V_STEP
 from spinpaths.partition import interface_closed_form
 from spinpaths.qpoly import ONE, ZERO
+
+# 1, values above 1, negative and dyadic values, and two large denominators
+fixed_q_values = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(999, 1000), Fraction(1, 1000000)]),
+    st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 20)),
+    st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-64, 64).filter(bool),
+              st.integers(0, 6)))
 
 
 def reference_tables(scheme, start, end):

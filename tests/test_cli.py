@@ -541,17 +541,18 @@ class TestCleanExits:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_internal_failure_exits_one(self, capsys, monkeypatch):
-        # the start cell (0, 0): the last diagonal the sampler's backward sweep yields
+        # the start cell (-1, -1): the last diagonal the sampler's backward sweep
+        # yields.  A rep2 step table is swept, and the sweep checks h + v = z
         real = partition._sweep
 
         def corrupted(table):
             for s, lo, cells in real(table):
-                if s == 0:
+                if s == -2:
                     cells[0] += 1
                 yield s, lo, cells
 
         monkeypatch.setattr(partition, "_sweep", corrupted)
-        code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
+        code, out, err = run(capsys, "sample", "--scheme", "rep2", "--from=-1,-1", "--to", "2,1",
                              "--q", "1/2")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: internal identity failed")

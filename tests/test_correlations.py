@@ -206,7 +206,7 @@ def full_table_profile(inst, q0):
     profile = []
     for x in range(-inst.L, inst.K + 1):
         s = x if x > 0 else x + inst.sites
-        acc = sum(f[i, s - 1 - i] * bwd.times(i, s - 1 - i, H_STEP, b[i + 1, s - 1 - i])
+        acc = sum(f[i, s - 1 - i] * bwd.times(s - 1, b[i + 1, s - 1 - i])
                   for i in range(max(0, s - 1 - inst.M), min(inst.N - 1, s - 1) + 1))
         profile.append((x, Fraction(acc, f[inst.N, inst.M])))
     return profile

@@ -24,7 +24,7 @@ from spinpaths import partition
 from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond
 from spinpaths.partition import rec1_sides, rec2_rhs
 from spinpaths.qpoly import ZERO
-from sweep_reference import reference_convolution, reference_tables
+from sweep_reference import fixed_q_values, reference_convolution, reference_tables
 
 ORIGIN = Point(0, 0)
 
@@ -276,8 +276,9 @@ class TestWeightCodes:
             for j in range(start.j, end.j + 1):
                 if (i, j) != end:
                     # the paths from (i, j) take one of its two bonds first
-                    h = table.times(i, j, H_STEP, cells[i + 1, j]) if i < end.i else 0
-                    v = table.times(i, j, V_STEP, cells[i, j + 1]) if j < end.j else 0
+                    d = i + j - start.i - start.j
+                    h = table.times(d, cells[i + 1, j]) if i < end.i else 0
+                    v = cells[i, j + 1] if j < end.j else 0
                     assert h + v == cells[i, j]
 
     # the interface's cells grow with the square of the width, so its
@@ -301,7 +302,9 @@ class TestWeightCodes:
                         continue   # the bond leaves the rectangle
                     weight = scheme.bond_weight(i, j, o)
                     want = weight * table[head] if q0 is None else weight.evaluate(q0) * table[head]
-                    got = table.times(i, j, o, table.values[head])
+                    got = table.values[head]
+                    if o == H_STEP:
+                        got = table.times(i + j - start.i - start.j, got)
                     assert table._decode(got, end.i - i) == want
 
 
@@ -374,6 +377,60 @@ class TestZeroQ:
         assert partition_dp(InterfaceXXZ(), ORIGIN, Point(0, 3), 0) == 1
         # a rectangle without bonds weighs nothing, so nothing is refused
         assert partition_dp(InterfaceXXZ(), Point(-2, -2), Point(-2, -2), 0) == 1
+
+
+class TestInterfaceAtFixedQ:
+    """An interface Z or step table at q0 != 0 is read from the closed form."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def swept(table):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(partition, "_sweep", swept)
+
+    def test_partition_dp_needs_no_sweep(self):
+        start, end, q0 = Point(-3, 1), Point(4, 3), Fraction(3, 7)
+        assert partition_dp(InterfaceXXZ(), start, end, q0) == \
+            partition_bruteforce(InterfaceXXZ(), start, end).evaluate(q0)
+
+    def test_crossing_probability_needs_no_sweep(self):
+        scheme, end, through, q0 = InterfaceXXZ(), Point(4, 3), Point(2, 1), Fraction(-5, 4)
+        z = partition_bruteforce(scheme, ORIGIN, end).evaluate(q0)
+        via = (partition_bruteforce(scheme, ORIGIN, through)
+               * partition_bruteforce(scheme, through, end)).evaluate(q0)
+        query = CorrelationQuery(scheme, ORIGIN, end, (through,))
+        assert crossing_probability(query, q0) == via / z
+
+    @pytest.mark.parametrize("q0", [Fraction(1), Fraction(1, 3), Fraction(-9, 4)])
+    def test_sampler_state_needs_no_sweep(self, q0):
+        # n H and m V steps left take H with probability (1 - x^n) / (1 - x^(n+m)),
+        # x = q0^2, and n / (n + m) at x = 1
+        di, dj = 5, 3
+        diag = SamplerState(InterfaceXXZ(), Point(-2, 1), Point(-2 + di, 1 + dj), q0, 0).diag
+        x = q0 * q0
+        for t in range(di + dj):
+            for a in range(max(0, t - dj), min(di, t) + 1):
+                n, m = di - a, dj - t + a
+                p = Fraction(n, n + m) if x == 1 else (1 - x**n) / (1 - x**(n + m))
+                assert diag[t, a] == float(p)
+
+    def test_q_zero_still_sweeps(self):
+        with pytest.raises(AssertionError, match="swept"):
+            partition_dp(InterfaceXXZ(), ORIGIN, Point(2, 1), 0)
+        with pytest.raises(AssertionError, match="swept"):
+            SamplerState(InterfaceXXZ(), ORIGIN, Point(2, 1), 0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-6, 6)] * 4), fixed_q_values)
+def test_interface_partition_matches_the_swept_far_corner(corners, q0):
+    # the fixed-q closed form against the sweep it replaces, in value and in
+    # type, empty rectangles included
+    start, end = Point(*corners[:2]), Point(*corners[2:])
+    got = partition_dp(InterfaceXXZ(), start, end, q0)
+    want = forward_table(InterfaceXXZ(), start, end, q0).far_corner()
+    assert got == want and type(got) is type(want)
 
 
 class TestClosedForm:

@@ -16,8 +16,8 @@ from spinpaths import (CorrelationQuery, DegenerateEnsemble,
                        SamplerState, backward_table, crossing_probability, enumerate_paths,
                        estimate_crossing, partition_dp, sample_path,
                        sample_paths, sample_step_matrix)
-from spinpaths.lattice import H_STEP, V_STEP
 from spinpaths.sampler import BLOCK
+from sweep_reference import fixed_q_values
 
 ORIGIN = Point(0, 0)
 HALF = Fraction(1, 2)
@@ -315,8 +315,8 @@ def full_table_diag(scheme, start, end, q0):
             i, j = start.i + a, start.j + b
             z = cells[i, j]
             if (a, b) != (di, dj) and z:
-                h = table.times(i, j, H_STEP, cells[i + 1, j]) if a < di else 0
-                v = table.times(i, j, V_STEP, cells[i, j + 1]) if b < dj else 0
+                h = table.times(a + b, cells[i + 1, j]) if a < di else 0
+                v = cells[i, j + 1] if b < dj else 0
                 assert h + v == z
                 diag[a + b, a] = h / z
     return diag
@@ -335,7 +335,7 @@ def test_streamed_step_table_matches_the_full_table(data):
         scheme = PinnedRep1(K=K, L=max(0, end.i + end.j - K - 1))
     else:
         scheme = PinnedRep2()
-    q0 = Fraction(data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20)))
+    q0 = data.draw(fixed_q_values)
     state = SamplerState(scheme, start, end, q0, 0)
     np.testing.assert_array_equal(state.diag, full_table_diag(scheme, start, end, q0))
 
