@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import correlations, partition, sampler, spin
 from .lattice import Point
-from .qpoly import LaurentPoly, ZeroToNegativePower
+from .qpoly import LaurentPoly, ZeroToNegativePower, text_form
 from .spin import PinnedInstance
 from .weights import scheme_from_name
 
@@ -29,6 +29,8 @@ SCHEMA_PROFILE = "spinpaths/profile/1"
 SCHEMA_PROBABILITY = "spinpaths/probability/1"
 SCHEMA_SAMPLE = "spinpaths/sample-summary/1"
 SCHEMA_RESIDUAL = "spinpaths/residual/1"
+
+_quote = json.encoder.encode_basestring_ascii   # json.dumps(s) for a str s
 
 
 class UsageError(ValueError):
@@ -58,10 +60,6 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}") from exc
 
 
-def poly_json(p: LaurentPoly) -> dict:
-    return {"schema": SCHEMA_POLY, "terms": p.to_json_obj(), "text": str(p)}
-
-
 def rational_json(value: Fraction) -> dict:
     return {"numerator": str(value.numerator), "denominator": str(value.denominator),
             "decimal": float(value)}
@@ -74,11 +72,57 @@ def _scheme(args) -> object:
 # -- subcommand handlers ----------------------------------------------------
 
 
+def _poly(p: LaurentPoly, pad: str) -> str:
+    """p's spinpaths/polynomial/1 object at the indent pad; each coefficient
+    is turned into a string once, for both "terms" and "text"."""
+    terms = [(e, str(c)) for e, c in p.items()]
+    one, two = pad + "  ", pad + "    "
+    body = "{" + two + ("," + two).join([f'"{e}": "{c}"' for e, c in terms]) + one + "}" \
+        if terms else "{}"
+    return (f'{{{one}"schema": "{SCHEMA_POLY}",{one}"terms": {body},'
+            f'{one}"text": "{text_form(terms)}"{pad}}}')
+
+
+def _write(obj, pad: str, write, poly, head: str = "") -> None:
+    """Write head, then obj at the indent pad: a LaurentPoly as poly(obj, pad),
+    a Fraction as its string, a nonempty dict (str keys), list or tuple item
+    by item, any other value as json.dumps renders it."""
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            brackets, items = "{}", [(_quote(k) + ": ", v) for k, v in obj.items()]
+        else:
+            brackets, items = "[]", [("", v) for v in obj]
+        sep = head + brackets[0] + inner
+        for key, v in items:
+            _write(v, inner, write, poly, sep + key)
+            sep = "," + inner
+        write(pad + brackets[1])
+    elif isinstance(obj, LaurentPoly):
+        write(head + poly(obj, pad))
+    elif isinstance(obj, str):
+        write(head + _quote(obj))
+    elif type(obj) is int:   # the int repr json.dumps returns, with no encoder built
+        write(head + repr(obj))
+    elif isinstance(obj, Fraction):
+        write(f'{head}"{obj}"')
+    else:
+        write(head + json.dumps(obj))
+
+
+def _emit(obj, poly=_poly) -> None:
+    """Stream obj to stdout as the bytes of print(json.dumps(obj, indent=2)),
+    where each LaurentPoly reads as its spinpaths/polynomial/1 object.  The
+    caller computes every value first, so a failure still prints nothing."""
+    _write(obj, "\n", sys.stdout.write, poly)
+    sys.stdout.write("\n")
+
+
 def emit_poly(value: LaurentPoly, fmt: str) -> None:
     if fmt == "text":
         print(value)
     else:
-        print(json.dumps(poly_json(value), indent=2))
+        _emit(value)
 
 
 def cmd_partition(args) -> int:
@@ -103,12 +147,12 @@ def cmd_correlate(args) -> int:
         waypoints=tuple(parse_point(t) for t in args.through),
     )
     out = {"schema": SCHEMA_PROBABILITY,
-           "conditioned": poly_json(correlations.conditioned_partition(query))}
+           "conditioned": correlations.conditioned_partition(query)}
     if args.q is not None:
         q0 = parse_rational(args.q)
         out["q"] = str(q0)
         out["probability"] = rational_json(correlations.crossing_probability(query, q0))
-    print(json.dumps(out, indent=2))
+    _emit(out)
     return 0
 
 
@@ -118,8 +162,8 @@ def cmd_profile(args) -> int:
     profile = correlations.magnetization_profile(inst, q0)
     if args.format == "json":
         rows = [{"site": x, **rational_json(p)} for x, p in profile]
-        print(json.dumps({"schema": SCHEMA_PROFILE, "K": args.K, "L": args.L,
-                          "N": args.N, "q": str(q0), "sites": rows}, indent=2))
+        _emit({"schema": SCHEMA_PROFILE, "K": args.K, "L": args.L, "N": args.N,
+               "q": str(q0), "sites": rows})
     else:
         # CSV column order: site, numerator, denominator, decimal
         print("site,numerator,denominator,decimal")
@@ -165,8 +209,8 @@ def cmd_hamiltonian(args) -> int:
             raise UsageError("--q0 is for the Hamiltonian oracle; --config takes no q")
         out = {"schema": SCHEMA_POLY, "L": args.L, "K": args.K,
                "config": word, "down_spins": config.down_count,
-               "amplitude": poly_json(spin.amplitude(config))}
-        print(json.dumps(out, indent=2))
+               "amplitude": spin.amplitude(config)}
+        _emit(out)
         return 0
     if args.N is None:
         raise UsageError("hamiltonian needs -N (or --config)")
@@ -174,22 +218,12 @@ def cmd_hamiltonian(args) -> int:
     oracle = spin.build_hamiltonian(args.L, args.K, args.N, q0)
     residual = spin.verify_ground_state(oracle)
     ok = residual <= 1e-10
-    print(json.dumps({"schema": SCHEMA_RESIDUAL, "L": args.L, "K": args.K,
-                      "N": args.N, "q0": q0, "dimension": oracle.dimension,
-                      "residual": residual, "holds": ok}, indent=2))
+    _emit({"schema": SCHEMA_RESIDUAL, "L": args.L, "K": args.K, "N": args.N, "q0": q0,
+           "dimension": oracle.dimension, "residual": residual, "holds": ok})
     return 0 if ok else 1
 
 
 # -- verify -----------------------------------------------------------------
-
-
-def _rendered(entry: dict) -> dict:
-    """The entry with its sides as JSON: polynomial objects, other values as strings."""
-    def render(v):
-        if isinstance(v, LaurentPoly):
-            return poly_json(v)
-        return str(v)
-    return {**entry, "lhs": render(entry["lhs"]), "rhs": render(entry["rhs"])}
 
 
 def cmd_verify(args) -> int:
@@ -206,10 +240,11 @@ def cmd_verify(args) -> int:
            "q": [str(q) for q in q_values], "summary": summary,
            "all_hold": not failures}
     if args.full:
-        out["entries"] = [_rendered(e) for e in entries]
+        out["entries"] = entries
     else:
-        out["failures"] = [_rendered(e) for e in failures]
-    print(json.dumps(out, indent=2))
+        out["failures"] = failures
+    # sides repeat (20 702 at 12x12 hold 1 220 distinct values): render each once
+    _emit(out, functools.cache(_poly))
     return 1 if failures else 0
 
 

@@ -235,21 +235,25 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.items())!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                power = "q" if e == 1 else f"q^{e}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return text_form([(e, str(c)) for e, c in self.items()])
+
+
+def text_form(terms: list[tuple[int, str]]) -> str:
+    """str() of the polynomial with these (exponent, coefficient string) pairs,
+    exponents ascending, such as '-2*q^-1 + 1 + q^2'; the CLI's "text" too."""
+    parts = []
+    for e, c in terms:
+        if c[0] == "-":
+            sign, c = " - ", c[1:]
+        else:
+            sign = " + "
+        if e:
+            power = "q" if e == 1 else f"q^{e}"
+            parts.append(sign + power if c == "1" else f"{sign}{c}*{power}")
+        else:
+            parts.append(sign + c)
+    text = "".join(parts)
+    return "-" + text[3:] if text[1:2] == "-" else text[3:] or "0"
 
 
 def _unchecked(terms: dict[int, int]) -> LaurentPoly:

@@ -1,18 +1,20 @@
 """The dict-polynomial slow paths that the packed sweep and the packed
-convolution replace, shared by the tests that check them, and the q0 values
-the tests of the fixed-q ring draw.
+convolution replace, shared by the tests that check them, the q0 values the
+tests of the fixed-q ring draw, and the dict-building JSON rendering that
+the CLI's streaming writer replaces.
 
 Import them from a test module as
 ``from sweep_reference import fixed_q_values, reference_convolution, reference_tables``.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from spinpaths.lattice import H_STEP, V_STEP
 from spinpaths.partition import interface_closed_form
-from spinpaths.qpoly import ONE, ZERO
+from spinpaths.qpoly import ONE, ZERO, LaurentPoly
 
 # 1, values above 1, negative and dyadic values, and two large denominators
 fixed_q_values = st.one_of(
@@ -55,3 +57,50 @@ def reference_convolution(inst):
             interface_closed_form(np_, inst.L - np_)
         total = total + interface_closed_form(n, inst.K - n) * bracket
     return total
+
+
+def reference_text(p):
+    """p's text form, built term by term from the int coefficients."""
+    parts = []
+    for e, c in p.items():
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            power = "q" if e == 1 else f"q^{e}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+def poly_json(p):
+    """p's spinpaths/polynomial/1 object as a dict."""
+    return {"schema": "spinpaths/polynomial/1", "terms": p.to_json_obj(),
+            "text": reference_text(p)}
+
+
+def rendered(entry):
+    """A verify report entry with its sides as JSON: polynomial objects,
+    other values (the ave sides' Fractions) as strings."""
+    def render(v):
+        return poly_json(v) if isinstance(v, LaurentPoly) else str(v)
+    return {**entry, "lhs": render(entry["lhs"]), "rhs": render(entry["rhs"])}
+
+
+def reference_json(obj):
+    """obj as json.dumps(..., indent=2) prints it once every LaurentPoly in it
+    is a poly_json dict and every Fraction a string: the pure-Python encoder."""
+    def plain(v):
+        if isinstance(v, LaurentPoly):
+            return poly_json(v)
+        if isinstance(v, Fraction):
+            return str(v)
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return v
+    return json.dumps(plain(obj), indent=2)

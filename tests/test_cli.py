@@ -1,6 +1,9 @@
 """Command-line interface: outputs, schemas, round-trips, exit codes."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,14 +13,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spinpaths
 from spinpaths import (CorrelationQuery, InterfaceXXZ, LatticePath, LaurentPoly, PinnedInstance,
                        PinnedRep2, Point, SamplerState, conditioned_partition, sample_paths)
-from spinpaths import partition, spin
-from spinpaths.cli import _rendered, build_parser, main, parse_rational
+from spinpaths import correlations, partition, spin
+from spinpaths.cli import _emit, _poly, build_parser, main, parse_rational
 from spinpaths.partition import _report_entry, identity_suite
 from spinpaths.sampler import BLOCK
+from sweep_reference import reference_json, reference_text, rendered
 
 
 def run(capsys, *argv):
@@ -94,6 +99,90 @@ def test_large_sweeps_print_the_same_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one request per output shape the streaming writer prints, each pinned to the
+# sha256 of its stdout as json.dumps(..., indent=2) printed it
+@pytest.mark.parametrize("argv, digest", [
+    ("correlate --scheme interface --from=-2,-1 --to 5,6 --through 1,2 --q 3/10",
+     "c0e9a1f84bd91ed1601e5d324b7c2bb7698246ac4d401dc2547e7757a5be80f5"),
+    ("profile -K 6 -L 5 -N 6 --q 1/2 --format json",
+     "cbcb082281cf44a9491b5387e4624e97d5ee7b4a7f6045304ea72fdaea1db386"),
+    ("hamiltonian -K 3 -L 2 --config 101100",
+     "ac87066290c5df056ddb56195037dffcdce60e6cddc3136c8a6f2510d5eb1bdf"),
+    ("closed-form -n 8 -m 7",
+     "e428f58544de6f6c56ae4b5b188800f775a437f8e27534e8003fbcd6ed03efe1"),
+    ("norm -K 5 -L 4 -N 5",
+     "5b3de2691761fbff44ff735ed5cba2f39cf22412437a1218d12d10e4538f3609"),
+    ("partition --scheme rep2 --from=-4,-3 --to 5,6 --format text",
+     "5c6d9ad66752b0a21adddaf9217f7f2d942c9b1342944a1eba1fad61b5bfd7c2"),
+], ids=["correlate-q", "profile-json", "hamiltonian-config", "closed-form", "norm",
+        "partition-text"])
+def test_output_shapes_print_the_same_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_residual_prints_as_the_indented_dump(capsys):
+    # the residual is a LAPACK float, so its bytes are checked by shape, not by hash
+    code, out, _ = run(capsys, "hamiltonian", "-K", "2", "-L", "2", "-N", "2", "--q0", "0.5")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# polynomials with coefficients of both signs, of magnitude 1 at exponents -1, 0
+# and 1, and past the interpreter's 4 300-digit limit on int/str conversion; the
+# same ints are leaves too
+coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6).filter(bool),
+                         st.builds(lambda sign, k: sign * (10**4400 + k),
+                                   st.sampled_from([1, -1]), st.integers(0, 10**6)))
+polys = st.builds(LaurentPoly, st.dictionaries(st.integers(-4, 4), coefficients, max_size=5))
+leaves = st.one_of(polys, st.text(max_size=6), st.integers(), coefficients, st.floats(),
+                   st.booleans(), st.none(), st.fractions(), st.just({}), st.just([]))
+payloads = st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the int/str digit limit, as the CLI does while a command runs."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+class TestStreamingWriter:
+    @staticmethod
+    def emitted(obj, poly=_poly):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(obj, poly)
+        return out.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads)
+    @example(LaurentPoly())
+    @example({"x": [LaurentPoly({-1: -1, 0: 1, 1: -1})], "y": {"z": [[LaurentPoly({1: 1})]]}})
+    @example([float("nan"), float("inf"), -float("inf"), {}, [], None, True])
+    def test_matches_the_indented_dump(self, payload):
+        with no_digit_limit():
+            want = reference_json(payload) + "\n"
+            assert self.emitted(payload) == want
+            assert self.emitted(payload, functools.cache(_poly)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys)
+    def test_text_form_is_the_json_text(self, p):
+        # --format text prints str(p); JSON carries the same string in "text"
+        with no_digit_limit():
+            assert str(p) == reference_text(p) == json.loads(self.emitted(p))["text"]
 
 
 class TestClosedFormCommand:
@@ -313,8 +402,8 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("max_k", range(3))
     @pytest.mark.parametrize("max_l", range(3))
     def test_matches_the_slow_path(self, max_k, max_l):
-        fast = [_rendered(e) for e in identity_suite(max_k, max_l, self.Q_VALUES)]
-        slow = [_rendered(e) for e in reference_identity_suite(max_k, max_l, self.Q_VALUES)]
+        fast = [rendered(e) for e in identity_suite(max_k, max_l, self.Q_VALUES)]
+        slow = [rendered(e) for e in reference_identity_suite(max_k, max_l, self.Q_VALUES)]
         assert fast == slow
 
     def test_sweeps_each_distinct_table_once(self, monkeypatch):
@@ -387,6 +476,15 @@ class TestVerifyCommand:
             rhs = LaurentPoly.from_json_obj(e["rhs"]["terms"])
             assert e["lhs"]["schema"] == e["rhs"]["schema"] == "spinpaths/polynomial/1"
             assert rhs == lhs + 1
+
+    def test_injected_failure_report_bytes(self, capsys, monkeypatch):
+        # the failures list: polynomial sides at depth 2, beside ave's string sides
+        real = partition._convolution
+        monkeypatch.setattr(partition, "_convolution", lambda *args: real(*args) + 1)
+        code, out, _ = run(capsys, "verify", "--max-K", "1", "--max-L", "1")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "a4f2fc4e394a45edb2f3c6ac98b6f1b82b3642ece5322015cba2e3c8fcbeb1e4"
 
     @pytest.mark.parametrize("perturb", [lambda z: 2 * z, lambda z: LaurentPoly.q_power(1) * z],
                              ids=["shape", "valuation"])
@@ -529,6 +627,35 @@ class TestCleanExits:
         code, out, err = run(capsys, command, "--scheme", "rep2", "--from=-2,-2", "--to=2,2",
                              "--q", "0")
         assert (code, out, err) == (2, "", "error: Z((-2,-2),(2,2)) = 0 at q = 0\n")
+
+    def test_vanishing_normalizer_after_the_conditioned_polynomial(self, capsys, monkeypatch):
+        # stdout is written only once every value is known, so the polynomial
+        # computed first is not printed either
+        real, conditioned = correlations.conditioned_partition, []
+
+        def recorded(query):
+            conditioned.append(real(query))
+            return conditioned[-1]
+
+        monkeypatch.setattr(correlations, "conditioned_partition", recorded)
+        code, out, err = run(capsys, "correlate", "--scheme", "rep2", "--from=-2,-2", "--to=2,2",
+                             "--through", "0,0", "--q", "0")
+        assert conditioned and conditioned[0]
+        assert (code, out, err) == (2, "", "error: Z((-2,-2),(2,2)) = 0 at q = 0\n")
+
+    def test_verify_internal_failure_prints_nothing(self, capsys, monkeypatch):
+        # the translation tables are the suite's last sweeps; every pinned
+        # entry is computed before one of them fails
+        real = partition.forward_table
+
+        def failing(scheme, start, end, q0=None):
+            if end == Point(2, 2):
+                raise partition.InternalIdentityFailure("injected")
+            return real(scheme, start, end, q0)
+
+        monkeypatch.setattr(partition, "forward_table", failing)
+        code, out, err = run(capsys, "verify", "--max-K", "1", "--max-L", "1")
+        assert (code, out, err) == (1, "", "error: internal identity failed: injected\n")
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(("profile", "-K", "1", "-L", "1", "-N", "1", "--q", "abc"),
