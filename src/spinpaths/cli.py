@@ -188,7 +188,8 @@ def cmd_sample(args) -> int:
     for done in range(0, max(args.n, 1), sampler.BLOCK):
         words = sampler.sample_words(state, min(sampler.BLOCK, args.n - done))
         distinct.update(words)
-        sys.stdout.write("".join(f"{prefix}{word}\n" for word in words))
+        if words:
+            sys.stdout.write(prefix + f"\n{prefix}".join(words) + "\n")
     summary = {"schema": SCHEMA_SAMPLE, "n": args.n, "seed": args.seed,
                "scheme": args.scheme, "q": str(q0), "distinct": len(distinct)}
     print(json.dumps(summary), file=sys.stderr)

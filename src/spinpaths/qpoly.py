@@ -229,7 +229,7 @@ class LaurentPoly:
         if not terms or (len(terms) == 1 and 0 in terms):
             # a constant equals its int, so it must hash like it
             return hash(terms.get(0, 0))
-        return hash(tuple(self.items()))
+        return hash(frozenset(terms.items()))   # insertion order is not compared
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items())!r})"

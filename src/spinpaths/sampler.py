@@ -142,26 +142,37 @@ def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None 
     1.0 where b = dj (v = 0, so h = Z), and a cell with Z = 0 is entered with
     probability exactly 0.  With `out`, step t of the walk's r-th row is
     written to out[r, t] (True = H).
+
+    A call holds three one-chunk buffers, refilled in place at every step:
+    the uniforms, their table values and the H flags.  A chunk's counts are
+    in the narrowest unsigned dtype that holds di (uint8 up to 255).
     """
     import numpy as np
 
-    total = state.diag.shape[0]
+    total, width = state.diag.shape
     diag = list(state.diag)
-    buffer = np.empty(min(BLOCK, samples))   # one step's uniforms, refilled in place
+    size = min(BLOCK, samples)
+    buffer, threshold = np.empty(size), np.empty(size)
+    flags = np.empty(size, dtype=bool)
+    count = np.min_scalar_type(width - 1)
     first = g = state.rows
     stop = state.rows = first + samples
     while g < stop:
         row = g % BLOCK
         n = min(BLOCK - row, stop - g)
         index = (g - row) * total + row   # the draw of row g's first step
-        uniform = buffer[:n]
-        a = np.zeros(n, dtype=np.intp)
+        uniform, p, take_h = buffer[:n], threshold[:n], flags[:n]
+        ones = take_h.view(np.uint8)   # True reads as 1
+        a = np.zeros(n, dtype=count)
         for t in range(steps):
             _read(state, index + t * BLOCK, uniform)
-            take_h = uniform < diag[t][a]
+            # 0 <= a <= di always, so clipping never acts; mode "raise" would
+            # copy into a fresh buffer
+            diag[t].take(a, out=p, mode="clip")
+            np.less(uniform, p, out=take_h)
             if out is not None:
                 out[g - first:g - first + n, t] = take_h
-            a += take_h
+            a += ones
         yield a
         g += n
 
@@ -187,13 +198,20 @@ def sample_step_matrix(state: SamplerState, samples: int) -> np.ndarray:
 
 def sample_words(state: SamplerState, samples: int) -> list[str]:
     """Draw `samples` step words ('H'/'V' strings) exactly from w(p)/Z,
-    advancing the state's stream; each starts at `state.start`."""
+    advancing the state's stream; each starts at `state.start`.
+
+    The step matrix becomes one 4-byte character code per step, so each row
+    reads as one numpy `U{T}` string and a single `tolist` builds every word.
+    """
     import numpy as np
 
     matrix = sample_step_matrix(state, samples)
     total = matrix.shape[1]
-    words = np.where(matrix, ord(H_STEP), ord(V_STEP)).astype(np.uint8).tobytes().decode()
-    return [words[r * total:(r + 1) * total] for r in range(samples)]
+    if not total:
+        return [""] * samples
+    codes = matrix.view(np.uint8) * np.int32(ord(H_STEP) - ord(V_STEP))
+    codes += ord(V_STEP)
+    return codes.view(f"U{total}").ravel().tolist()
 
 
 def sample_paths(state: SamplerState, samples: int) -> list[LatticePath]:

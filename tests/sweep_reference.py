@@ -1,7 +1,8 @@
 """The dict-polynomial slow paths that the packed sweep and the packed
 convolution replace, shared by the tests that check them, the q0 values the
-tests of the fixed-q ring draw, and the dict-building JSON rendering that
-the CLI's streaming writer replaces.
+tests of the fixed-q ring draw, the dict-building JSON rendering that
+the CLI's streaming writer replaces, and the sliced step words that the
+sampler's one-`tolist` words replace.
 
 Import them from a test module as
 ``from sweep_reference import fixed_q_values, reference_convolution, reference_tables``.
@@ -10,11 +11,13 @@ Import them from a test module as
 import json
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from spinpaths.lattice import H_STEP, V_STEP
 from spinpaths.partition import interface_closed_form
 from spinpaths.qpoly import ONE, ZERO, LaurentPoly
+from spinpaths.sampler import sample_step_matrix
 
 # 1, values above 1, negative and dyadic values, and two large denominators
 fixed_q_values = st.one_of(
@@ -104,3 +107,12 @@ def reference_json(obj):
             return [plain(x) for x in v]
         return v
     return json.dumps(plain(obj), indent=2)
+
+
+def reference_words(state, samples):
+    """`sampler.sample_words` by slicing: the step matrix as one byte
+    string, cut into one word per row."""
+    matrix = sample_step_matrix(state, samples)
+    total = matrix.shape[1]
+    words = np.where(matrix, ord(H_STEP), ord(V_STEP)).astype(np.uint8).tobytes().decode()
+    return [words[r * total:(r + 1) * total] for r in range(samples)]

@@ -311,6 +311,18 @@ class TestSampleCommand:
                            "--q", "0", "--n", "5")
         assert code == 0 and out == "(-1,-1):VHV\n" * 5
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (("--from=2,3", "--to", "2,3", "--n", "2"), 0, "(2,3):\n(2,3):\n",
+         '{"schema": "spinpaths/sample-summary/1", "n": 2, "seed": 0, "scheme": "interface", '
+         '"q": "1/2", "distinct": 1}\n'),
+        (("--to", "3,3", "--n", "0"), 0, "",
+         '{"schema": "spinpaths/sample-summary/1", "n": 0, "seed": 0, "scheme": "interface", '
+         '"q": "1/2", "distinct": 0}\n'),
+        (("--to", "3,3", "--n", "-1"), 2, "", "error: sample count -1 is negative\n"),
+    ], ids=["start-is-end", "zero-count", "negative-count"])
+    def test_edge_counts_print_these_bytes(self, capsys, argv, code, out, err):
+        assert run(capsys, "sample", "--scheme", "interface", "--q", "1/2", *argv) == (code, out, err)
+
     def test_negative_count(self, capsys):
         code, out, err = run(capsys, "sample", "--scheme", "interface", "--to", "2,1",
                              "--q", "1/2", "--n", "-3")

@@ -306,6 +306,11 @@ class TestValueContracts:
         assert c == a and hash(c) == hash(a)
         assert len({a, c}) == 1
 
+    @given(polys)
+    def test_hash_ignores_insertion_order(self, a):
+        backwards = LaurentPoly(dict(reversed(list(a.items()))))
+        assert backwards == a and hash(backwards) == hash(a)
+
     @given(st.integers(-2**70, 2**70), polys)
     def test_constant_equals_and_hashes_like_its_int(self, n, a):
         c = (a + n) - a

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from spinpaths import (CorrelationQuery, DegenerateEnsemble,
@@ -16,8 +16,8 @@ from spinpaths import (CorrelationQuery, DegenerateEnsemble,
                        SamplerState, backward_table, crossing_probability, enumerate_paths,
                        estimate_crossing, partition_dp, sample_path,
                        sample_paths, sample_step_matrix)
-from spinpaths.sampler import BLOCK
-from sweep_reference import fixed_q_values
+from spinpaths.sampler import BLOCK, sample_words
+from sweep_reference import fixed_q_values, reference_words
 
 ORIGIN = Point(0, 0)
 HALF = Fraction(1, 2)
@@ -92,6 +92,28 @@ def test_flat_kernel_matches_masked_reference(data):
 
 def test_flat_kernel_matches_masked_reference_over_blocks():
     assert_kernels_agree(InterfaceXXZ(), ORIGIN, Point(3, 4), Fraction(7, 13), 3, BLOCK + 5)
+
+
+@pytest.mark.parametrize("di", [255, 256, 300])
+def test_flat_kernel_matches_masked_reference_past_a_byte(di):
+    # the walk counts H steps in uint8 while di <= 255 and in a wider dtype
+    # beyond; a count that wrapped past 255 would misread the table by 300
+    assert_kernels_agree(InterfaceXXZ(), ORIGIN, Point(di, 3), Fraction(1), 5, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**64),
+       st.lists(st.one_of(st.integers(0, 40), st.sampled_from([BLOCK - 3, BLOCK + 2])),
+                min_size=1, max_size=3))
+@example(0, 0, 1, [2, BLOCK + 1])        # start == end: every word is empty
+@example(3, 4, 5, [BLOCK - 3, 7])        # the second call crosses a chunk boundary
+def test_words_match_the_slicing_reference(di, dj, seed, counts):
+    end = Point(di, min(dj, 9 - di))
+    fast, slow = make_state(end=end, seed=seed), make_state(end=end, seed=seed)
+    for n in counts:
+        words = sample_words(fast, n)
+        assert words == reference_words(slow, n)
+        assert all(type(word) is str for word in words)
 
 
 @pytest.mark.parametrize("seed, substream, drawn, count, g, t", [
@@ -244,6 +266,13 @@ def test_estimate_matches_step_matrix_reference(data):
 def test_estimate_matches_step_matrix_reference_over_blocks():
     assert_estimates_agree(InterfaceXXZ(), ORIGIN, Point(3, 4), Fraction(7, 13), 3,
                            Point(2, 1), 2 * BLOCK + 5)
+
+
+def test_estimate_counts_past_a_byte():
+    # a target of 270 H steps needs counts wider than uint8; about 3 rows in 10 hit it
+    end, point = Point(300, 20), Point(270, 18)
+    assert_estimates_agree(InterfaceXXZ(), ORIGIN, end, Fraction(1), 1, point, 2000)
+    assert 0.2 < estimate_crossing(make_state(end=end, seed=1, q0=Fraction(1)), point, 2000)[0] < 0.4
 
 
 class CountingGenerator:
