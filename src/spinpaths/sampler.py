@@ -145,7 +145,8 @@ def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None 
 
     A call holds three one-chunk buffers, refilled in place at every step:
     the uniforms, their table values and the H flags.  A chunk's counts are
-    in the narrowest unsigned dtype that holds di (uint8 up to 255).
+    in the narrowest unsigned dtype that holds di (uint8 up to 255), so the
+    flags' byte view adds into them without a cast.
     """
     import numpy as np
 
@@ -209,7 +210,8 @@ def sample_words(state: SamplerState, samples: int) -> list[str]:
     total = matrix.shape[1]
     if not total:
         return [""] * samples
-    codes = matrix.view(np.uint8) * np.int32(ord(H_STEP) - ord(V_STEP))
+    codes = matrix.astype(np.int32)
+    codes *= ord(H_STEP) - ord(V_STEP)
     codes += ord(V_STEP)
     return codes.view(f"U{total}").ravel().tolist()
 
