@@ -463,7 +463,7 @@ def verify_average_representation(inst: PinnedInstance, q0) -> dict:
     """
     q0 = check_q(Fraction(q0))
     entry = _ave_entry(inst, q0, pinned_rep2(inst), norm_squared(inst.L, inst.K, inst.N))
-    z_if = interface_closed_form(inst.N, inst.M).evaluate(q0)
+    z_if = partition_dp(InterfaceXXZ(), ORIGIN, Point(inst.N, inst.M), q0)
     lhs, rhs = entry["lhs"], entry["rhs"]
     return {**entry, "lhs": str(lhs), "rhs": str(rhs),
             "ratio": str(lhs / rhs) if rhs else None,

@@ -4,10 +4,11 @@ Step probabilities are exact ratios, from the backward partition table or,
 for the interface at q != 0, from its closed form, so a sampled path is
 distributed exactly per the measure (up to the one double conversion at the
 uniform-draw comparison, 2^-52 per step, negligible against Monte Carlo
-error).  numpy's PCG64DXSM generator reaches any draw with `advance`, and a
-substream jumps it ≈ 0.618·2^128 draws per jump.
-Step t of row g reads draw (g // BLOCK)·BLOCK·T + t·BLOCK + g % BLOCK, T the
-step count, so `BLOCK` is part of the stream; fixed-seed output changed when
+error).  Every uniform has an address, (seed, substream, row, step): step t
+of row g reads draw (g // BLOCK)·BLOCK·T + t·BLOCK + g % BLOCK, T the step
+count, of numpy's PCG64DXSM stream, jumped ≈ 0.618·2^128 draws per jump for a
+substream.  So `BLOCK` is part of the stream, and each walk opens the stream
+afresh and reaches its draws with `advance`; fixed-seed output changed when
 this layout replaced row-major and when PCG64DXSM replaced Philox.
 numpy is imported inside the functions that use it, so importing the package
 does not load it.
@@ -36,8 +37,9 @@ class SamplerState:
 
     Holds the per-point horizontal-step probabilities by anti-diagonal (exact
     rationals from the backward sweep or, for the interface at q0 != 0, the
-    closed form, each converted to double once), the PCG64DXSM stream and
-    `rows`, the number of rows drawn from it.  `_walk` alone reads `rng`.
+    closed form, each converted to double once), the stream's address (`seed`
+    and `jumps`, 0 for the base stream) and `rows`, the number of rows drawn
+    from it.  It holds no generator: `_walk` opens the stream for each call.
     """
 
     def __init__(self, scheme: WeightScheme, start: Point, end: Point, q0, seed: int):
@@ -48,9 +50,12 @@ class SamplerState:
             raise ValueError(f"seed {seed} is out of range; it must lie in [0, 2**128)")
         if not end.dominates(start):
             raise DegenerateEnsemble(f"empty ensemble {start} -> {end}")
+        np.random.SeedSequence(seed)   # TypeError for a seed PCG64DXSM refuses, such as 1.5
         self.start = start
         self.end = end
         self.seed = seed
+        self.jumps = 0
+        self.rows = 0
         # The walk reads the step probabilities by anti-diagonal: after t steps
         # a path with a H steps sits at (a, t - a), whose probability is
         # diag[t, a] (0.0 where t - a falls outside [0, dj], a cell no walk
@@ -89,53 +94,33 @@ class SamplerState:
             if above[0] == 0:   # the last diagonal is the start cell
                 raise DegenerateEnsemble.vanishing(start, end, q0)
         self.diag = diag
-        self._open_stream(np.random.Generator(np.random.PCG64DXSM(seed)))
 
     def substream(self, index: int) -> "SamplerState":
         """A sampler over the same ensemble with a disjoint random stream.
 
         Stream index k is the base stream jumped k+1 times (≈ 0.618·2^128
         draws per jump), so workers read far apart from each other and the base.
+        The copy shares `diag` and starts at row 0.
         """
         if index < 0:
             raise ValueError(f"substream index {index} is negative")
-        import numpy as np
-
         clone = copy.copy(self)
-        clone._open_stream(np.random.Generator(np.random.PCG64DXSM(self.seed).jumped(index + 1)))
+        clone.jumps = index + 1
+        clone.rows = 0
         return clone
-
-    def _open_stream(self, rng):
-        """Start at row 0 of `rng`'s stream, keeping its first state, which
-        `_read` returns to before it advances to an earlier draw."""
-        self.rng = rng
-        self.rows = 0
-        self._first = rng.bit_generator.state
-        self._at = 0   # the draw index the generator reads next
-
-
-def _read(state: SamplerState, index: int, out: np.ndarray) -> None:
-    """Fill `out` with the stream's uniforms from draw `index` on: `advance`
-    to a later index, or re-seat at the first state to reach an earlier one."""
-    bit_generator = state.rng.bit_generator
-    if index < state._at:
-        bit_generator.state = state._first
-        state._at = 0
-    if index > state._at:
-        bit_generator.advance(index - state._at)
-    state.rng.random(out=out)
-    state._at = index + out.size
 
 
 def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None = None):
     """Walk the state's next `samples` rows `steps` steps, one chunk of `BLOCK`
     rows at a time, and yield each chunk's H counts.
 
-    The only reader of the stream.  Row g reads the uniform of step t at its
-    (row, step) address, so its steps depend on neither `steps` nor the calls'
-    split, and only walked steps are drawn.  A whole chunk's steps lie
-    together, so it reads them in one run; a part of a chunk advances the
-    generator once a step, after a re-seat if an earlier call read further.
+    The only holder of a generator: each call opens the state's stream at
+    draw 0 and reads it forward only.  Row g reads the uniform of step t at
+    its (row, step) address, so its steps depend on neither `steps` nor the
+    calls' split, and only walked steps are drawn.  One call's reads rise in
+    draw index, step by step and chunk by chunk, so the generator `advance`s
+    over the draws between them; a whole chunk's steps lie together, so it
+    reads them in one run.
     A row with `a` H steps after `t` steps sits at (a, t - a), so its count
     is all the walk tracks.  The table forces the steps on the far edges by
     itself: its probability is exactly 0.0 where a = di (h = 0) and exactly
@@ -150,6 +135,10 @@ def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None 
     """
     import numpy as np
 
+    bit_generator = np.random.PCG64DXSM(state.seed)
+    if state.jumps:
+        bit_generator = bit_generator.jumped(state.jumps)
+    rng, pos = np.random.Generator(bit_generator), 0   # pos: the draw read next
     total, width = state.diag.shape
     diag = list(state.diag)
     size = min(BLOCK, samples)
@@ -166,7 +155,11 @@ def _walk(state: SamplerState, samples: int, steps: int, out: np.ndarray | None 
         ones = take_h.view(np.uint8)   # True reads as 1
         a = np.zeros(n, dtype=count)
         for t in range(steps):
-            _read(state, index + t * BLOCK, uniform)
+            at = index + t * BLOCK
+            if at > pos:
+                bit_generator.advance(at - pos)
+            rng.random(out=uniform)
+            pos = at + n
             # 0 <= a <= di always, so clipping never acts; mode "raise" would
             # copy into a fresh buffer
             diag[t].take(a, out=p, mode="clip")

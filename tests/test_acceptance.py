@@ -19,7 +19,7 @@ from spinpaths import (CorrelationQuery, EnsembleTooLarge, InterfaceXXZ,
                        LaurentPoly, PinnedInstance, PinnedRep1, PinnedRep2,
                        Point, SamplerState, build_hamiltonian,
                        conditioned_partition, crossing_probability,
-                       enumerate_paths, estimate_crossing,
+                       enumerate_paths, estimate_crossing, forward_table,
                        interface_closed_form, norm_squared,
                        partition_bruteforce, partition_dp, pinned_rep1,
                        pinned_rep2, pinned_via_convolution, rec1_readings,
@@ -39,7 +39,7 @@ def test_criterion_1_closed_form_equivalence():
     for n in range(9):
         for m in range(9):
             closed = interface_closed_form(n, m)
-            assert closed == partition_dp(scheme, ORIGIN, Point(n, m)), (n, m)
+            assert closed == forward_table(scheme, ORIGIN, Point(n, m)).far_corner(), (n, m)
             assert closed == partition_bruteforce(scheme, ORIGIN, Point(n, m)), (n, m)
     print("PASS criterion 1: closed form = DP = enumeration on n,m <= 8 (exact)")
 
@@ -88,7 +88,7 @@ def test_criterion_4_translation_property():
         for end in pts:
             if not end.dominates(start):
                 continue
-            direct = partition_dp(scheme, start, end)
+            direct = forward_table(scheme, start, end).far_corner()
             for ref in pts:
                 if ref.i <= start.i and ref.j <= start.j:
                     assert translated_interface(start, end, ref) == direct

@@ -197,6 +197,12 @@ class TestSamplePath:
         with pytest.raises(ValueError, match=f"seed {seed} "):
             make_state(seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, Fraction(3)])
+    def test_seed_the_generator_refuses(self, seed):
+        # refused at construction, as PCG64DXSM itself would refuse it at the first walk
+        with pytest.raises(TypeError):
+            make_state(seed=seed)
+
     def test_negative_sample_count(self):
         with pytest.raises(ValueError, match="-3"):
             sample_step_matrix(make_state(), -3)
@@ -276,26 +282,40 @@ def test_estimate_counts_past_a_byte():
 
 
 class CountingGenerator:
-    """Passes every call on to a generator, counting the uniforms drawn."""
+    """Passes every call on to a generator, counting the uniforms drawn into
+    its counter."""
 
-    def __init__(self, rng):
+    def __init__(self, rng, counter):
         self.rng = rng
-        self.drawn = 0
+        self.counter = counter
 
     def random(self, *args, **kwargs):
         values = self.rng.random(*args, **kwargs)
-        self.drawn += values.size
+        self.counter.drawn += values.size
         return values
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
-def test_estimate_draws_only_what_it_reads():
+class DrawCounter:
+    """Stands in for `np.random.Generator`: builds the real generator in a
+    `CountingGenerator`, so `drawn` counts the uniforms every walk reads."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.drawn = 0
+
+    def __call__(self, bit_generator):
+        return CountingGenerator(self.generator(bit_generator), self)
+
+
+def test_estimate_draws_only_what_it_reads(monkeypatch):
     # T = 7; the estimates start 3 rows short of a chunk boundary and cross it
     state = make_state(end=Point(3, 4), seed=2)
     sample_step_matrix(state, BLOCK - 3)
-    state.rng = counting = CountingGenerator(state.rng)
+    counting = DrawCounter(np.random.Generator)
+    monkeypatch.setattr(np.random, "Generator", counting)
     samples = BLOCK + 10
     for point, radius in ((Point(2, 1), 3), (ORIGIN, 0), (Point(5, 5), None), (Point(3, 4), 7),
                           (Point(4, -1), 3), (Point(-1, 0), None), (Point(0, 1), 1)):
@@ -330,6 +350,32 @@ def test_any_split_into_calls_gives_the_same_rows(data):
             est, _ = estimate_crossing(split, Point(i, radius - i), hi - lo)
             assert est == np.count_nonzero(h_at_radius == i) / (hi - lo)
     assert np.array_equal(sample_step_matrix(split, 3), following)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_calls_interleaved_across_streams_give_each_stream_its_rows(data):
+    # the base stream (None) and substreams 0-2, each drawn in one call and in
+    # a random split into calls, the calls of all four in a random order; each
+    # substream is taken from the split base when its first call comes
+    end, keys = Point(3, 4), [None, 0, 1, 2]
+    seed = data.draw(st.integers(0, 2**64))
+    whole = make_state(end=end, seed=seed)
+    rows, sizes = {}, {}
+    for key in keys:
+        n = data.draw(st.integers(0, 2 * BLOCK + 5))
+        rows[key] = sample_step_matrix(whole if key is None else whole.substream(key), n)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+        sizes[key] = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n])]
+    order = data.draw(st.permutations([key for key in keys for _ in sizes[key]]))
+    base = make_state(end=end, seed=seed)
+    split, got = {None: base}, {key: [] for key in keys}
+    for key in order:
+        if key not in split:
+            split[key] = base.substream(key)
+        got[key].append(sample_step_matrix(split[key], sizes[key].pop(0)))
+    for key in keys:
+        assert np.array_equal(np.concatenate(got[key]), rows[key]), key
 
 
 def full_table_diag(scheme, start, end, q0):
