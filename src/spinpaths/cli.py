@@ -229,14 +229,11 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_verify(args) -> int:
     q_values = [parse_rational(t) for t in (args.q or ["3/10", "1/2", "4/5"])]
-    entries = partition.identity_suite(args.max_K, args.max_L, q_values)
+    # without --full the suite keeps only the failing entries, all the report shows
+    checked, entries = partition.identity_suite(args.max_K, args.max_L, q_values, args.full)
     failures = [e for e in entries if not e["holds"]]
-    by_identity: dict[str, list[dict]] = {}
-    for e in entries:
-        by_identity.setdefault(e["identity"], []).append(e)
-    summary = {name: {"checked": len(group),
-                      "failed": sum(1 for g in group if not g["holds"])}
-               for name, group in sorted(by_identity.items())}
+    summary = {name: {"checked": count, "failed": sum(e["identity"] == name for e in failures)}
+               for name, count in sorted(checked.items())}
     out = {"schema": SCHEMA_REPORT, "max_K": args.max_K, "max_L": args.max_L,
            "q": [str(q) for q in q_values], "summary": summary,
            "all_hold": not failures}

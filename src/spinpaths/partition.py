@@ -470,9 +470,12 @@ def verify_average_representation(inst: PinnedInstance, q0) -> dict:
             "interface_partition": str(z_if), "expectation": str(rhs / z_if)}
 
 
-def _ave_entry(inst: PinnedInstance, q0: Fraction, rep2: LaurentPoly, nsq: LaurentPoly) -> dict:
-    """The ave report entry, sides unrendered: rep2 and the squared norm at q0."""
-    lhs, rhs = rep2.evaluate(q0), nsq.evaluate(q0)
+def _ave_entry(inst: PinnedInstance, q0: Fraction, rep2: LaurentPoly, nsq: LaurentPoly,
+               same: bool = False) -> dict:
+    """The ave report entry, sides unrendered: rep2 and the squared norm at q0,
+    evaluated once when the caller has found them one polynomial (same)."""
+    lhs = rep2.evaluate(q0)
+    rhs = lhs if same else nsq.evaluate(q0)
     return _report_entry("ave", {"K": inst.K, "L": inst.L, "N": inst.N, "M": inst.M,
                                  "q0": str(q0), "s_reading": AVE_READING}, lhs == rhs, lhs, rhs)
 
@@ -485,29 +488,65 @@ def _report_entry(identity: str, params: dict, holds: bool, lhs, rhs) -> dict:
             "lhs": lhs, "rhs": rhs}
 
 
-def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dict]:
-    """Run every identity on the (K, L) grid; one report entry per check, sides unrendered.
+# the translation checks read rectangles of at most 4x4 steps.  C(8, 4) = 70 paths
+# cross the largest, and no coefficient of a cell exceeds its path count: 7-bit slots
+TF_WIDTH = math.comb(8, 4).bit_length()
+
+
+def _translation_table(start: Point, end: Point) -> tuple[PartitionTable, int]:
+    """The interface forward table over [start, end] packed at TF_WIDTH bits and
+    stride 1, with the offset low of its exponents (see _encoding): a cell n that
+    spans a horizontal steps is unpack(n, TF_WIDTH, 1, a * low)."""
+    exps = [InterfaceXXZ().h_exponent(s + 1) for s in range(start.i + start.j, end.i + end.j)]
+    low = min([0, *exps])
+    return PartitionTable([(1, TF_WIDTH * (e - low)) for e in exps],
+                          lambda n, a: unpack(n, TF_WIDTH, 1, a * low), start, end, 1), low
+
+
+def _cell_keys(table: PartitionTable, low: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Per cell of a _translation_table, none of them 0: its valuation and its shape,
+    the packed int from its lowest nonzero slot, tz, up.  Two cells are one
+    polynomial times q^k iff their shapes are equal and their valuations k apart."""
+    keys = {}
+    for (i, j), n in table.values.items():
+        tz = ((n & -n).bit_length() - 1) // TF_WIDTH
+        keys[i, j] = ((i - table.origin.i) * low + tz, n >> TF_WIDTH * tz)
+    return keys
+
+
+def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
+                   full: bool = True) -> tuple[dict[str, int], list[dict]]:
+    """Run every identity on the (K, L) grid.  Returns (checked, entries): the
+    number of checks per identity, and one report entry per check, sides
+    unrendered, or only the failing ones unless full.  A side is built only
+    for an entry that is kept.
 
     Each distinct table is swept once per call; nothing outlives the call.
     Per pinned instance, one rep1 forward table gives rep1 and both rec1
     sides, through the helper rec1_sides uses, and the re-instanced readings
     take rep1 of the smaller chains from earlier in the loop; rep2 serves
     the norm, pf, rec2 and every ave entry, and one convolution serves pf and
-    rec2 (rec2_rhs is that sum).  The convolution sums products of closed
-    forms, each packed once at one width for the grid: the bit length of
-    C(S, S // 2), S = max_k + max_l + 1.  The translation identity reads
-    Z(start, end) from one interface forward table per start in [-2, 2]^2
-    and every shifted Z from one per shifted start in [0, 4]^2: 50 sweeps
-    for 1 225 checks.  Each Z read is cut once into its valuation and its
-    terms relative to it, and a check compares those; only a failing one
-    builds q^k times the shifted Z for its right side, and one that holds
-    shows Z(start, end) as both.  A negative max_k or max_l, or a q outside
-    (0, 1), is refused before any of that.
+    rec2 (rec2_rhs is that sum).  When rep2 is the norm as a polynomial, ave
+    holds at every q, and only a kept entry evaluates it, once.
+    The convolution sums products of closed forms, each packed once at one
+    width for the grid: the bit length of C(S, S // 2), S = max_k + max_l + 1.
+    The translation identity reads Z(start, end) from one _translation_table
+    per start in [-2, 2]^2 and every shifted Z from one per shifted start in
+    [0, 4]^2: 50 sweeps for 1 225 checks, each decided on the cells' keys
+    (see _cell_keys).  A negative max_k or max_l, or a q outside (0, 1), is
+    refused before any of that.
     """
     if max_k < 0 or max_l < 0:
         raise ValueError(f"max_K and max_L must be nonnegative, got {max_k} and {max_l}")
     q_values = [check_q(q0) for q0 in q_values]
+    checked: dict[str, int] = {}
     entries: list[dict] = []
+
+    def record(identity: str, holds: bool, entry: Callable[[], dict]) -> None:
+        checked[identity] = checked.get(identity, 0) + 1
+        if full or not holds:
+            entries.append(entry())
+
     sites = max_k + max_l + 1
     width = math.comb(sites, sites // 2).bit_length()
     packed = functools.cache(_closed_form_packer(width))
@@ -522,51 +561,54 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction]) -> list[dic
                 rep1_table = forward_table(scheme, ORIGIN, Point(N, inst.M))
                 rep1 = rep1_of[K, L, N] = rep1_table[Point(N, inst.M)]
                 rep2 = pinned_rep2(inst)
-                entries.append(_report_entry(
-                    "norm-equality", params, nsq == rep1 == rep2, nsq, rep1))
+                same = nsq == rep2
+                holds = same and rep1 == rep2
+                record("norm-equality", holds,
+                       lambda: _report_entry("norm-equality", params, holds, nsq, rep1))
                 conv = _convolution(inst, packed, width)
-                entries.extend(_report_entry(name, params, rep2 == conv, rep2, conv)
-                               for name in ("pf", "rec2"))
+                holds = rep2 == conv
+                for name in ("pf", "rec2"):
+                    record(name, holds, lambda: _report_entry(name, params, holds, rep2, conv))
                 if N >= 1 and inst.M >= 1:
                     lhs, rhs = _rec1_sides(rep1_table, inst)
-                    readings = _reinstanced_readings(inst, rep1, lambda *key: rep1_of[key])
-                    entries.append(_report_entry(
-                        "rec1", {**params, "reading": "fixed-weights",
-                                 "alternative_readings": readings}, lhs == rhs, lhs, rhs))
-                entries.extend(_ave_entry(inst, q0, rep2, nsq) for q0 in q_values)
+                    holds = lhs == rhs
+                    record("rec1", holds, lambda: _report_entry(
+                        "rec1", {**params, "reading": "fixed-weights", "alternative_readings":
+                                 _reinstanced_readings(inst, rep1, lambda *key: rep1_of[key])},
+                        holds, lhs, rhs))
+                for q0 in q_values:
+                    # one polynomial agrees with itself at every q0
+                    entry = _ave_entry(inst, q0, rep2, nsq, same) if full or not same else None
+                    record("ave", same or entry["holds"], lambda: entry)
     pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
     names = {p: str(p) for p in pts}
-    interface = InterfaceXXZ()
-
-    def normal_form(z: LaurentPoly) -> tuple[LaurentPoly, int, list]:
-        # z is Z of a nonempty rectangle, so not 0
-        terms = z.items()
-        v = terms[0][0]
-        return z, v, [(e - v, c) for e, c in terms]
-
-    shifted = {}   # s -> {e: normal_form(Z(s, e))} for s <= e in [0, 4]^2; every one is read
+    shifted = {}   # s -> (table, its cell keys) for s in [0, 4]^2, every cell read
     for s in (Point(i, j) for i in range(5) for j in range(5)):
-        table = forward_table(interface, s, Point(4, 4))
-        shifted[s] = {e: normal_form(table[e]) for e in table.values}
+        table, low = _translation_table(s, Point(4, 4))
+        shifted[s] = table, _cell_keys(table, low)
     for start in pts:
-        table = forward_table(interface, start, Point(2, 2))
+        table, low = _translation_table(start, Point(2, 2))
+        keys = _cell_keys(table, low)
+        direct = functools.cache(table.__getitem__)   # Z(start, end), decoded once if kept
         # per ref weakly below start: its name, its coordinates, 2(ref.i+ref.j),
-        # and the shifted table's cells
+        # and the shifted table with its cell keys
         refs = [(names[ref], ref.i, ref.j, 2 * (ref.i + ref.j),
-                 shifted[start.i - ref.i, start.j - ref.j])
+                 *shifted[start.i - ref.i, start.j - ref.j])
                 for ref in pts if ref.i <= start.i and ref.j <= start.j]
         for end in pts:
             if not end.dominates(start):
                 continue
-            direct, v, shape = normal_form(table[end])
-            params = {"I": names[start], "F": names[end]}
-            for name, ri, rj, step, cells in refs:
+            v, shape = keys[end]
+            checked["TF"] = checked.get("TF", 0) + len(refs)
+            for name, ri, rj, step, cells, cell_keys in refs:
                 # q^k Z(start - ref, end - ref) equals Z(start, end) iff the two have
-                # one shape and valuations k apart; a check that holds shows direct twice
+                # one shape and valuations k apart; a check that holds shows Z twice
                 k = step * (end.i - start.i)
-                z, v_shifted, shape_shifted = cells[end.i - ri, end.j - rj]
+                v_shifted, shape_shifted = cell_keys[end.i - ri, end.j - rj]
                 holds = v_shifted + k == v and shape_shifted == shape
-                entries.append(_report_entry(
-                    "TF", {**params, "P": name}, holds,
-                    direct, direct if holds else LaurentPoly.q_power(k) * z))
-    return entries
+                if full or not holds:
+                    z = direct(end)
+                    entries.append(_report_entry(
+                        "TF", {"I": names[start], "F": names[end], "P": name}, holds, z,
+                        z if holds else LaurentPoly.q_power(k) * cells[end.i - ri, end.j - rj]))
+    return checked, entries

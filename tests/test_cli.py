@@ -414,9 +414,30 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("max_k", range(3))
     @pytest.mark.parametrize("max_l", range(3))
     def test_matches_the_slow_path(self, max_k, max_l):
-        fast = [rendered(e) for e in identity_suite(max_k, max_l, self.Q_VALUES)]
+        _, entries = identity_suite(max_k, max_l, self.Q_VALUES)
+        fast = [rendered(e) for e in entries]
         slow = [rendered(e) for e in reference_identity_suite(max_k, max_l, self.Q_VALUES)]
         assert fast == slow
+
+    @pytest.mark.parametrize("inject, failing", [
+        (None, set()),
+        ("_convolution", {"pf", "rec2"}),
+        # the norm then differs from rep2 as a polynomial, and ave evaluates both
+        ("norm_squared", {"norm-equality", "ave"}),
+    ], ids=["all-hold", "convolution", "norm"])
+    @pytest.mark.parametrize("max_k", range(3))
+    @pytest.mark.parametrize("max_l", range(3))
+    def test_lean_run_keeps_the_failures_of_the_full_one(self, monkeypatch, max_k, max_l,
+                                                         inject, failing):
+        if inject:
+            real = getattr(partition, inject)
+            monkeypatch.setattr(partition, inject, lambda *args: real(*args) + 1)
+        checked_full, full = identity_suite(max_k, max_l, self.Q_VALUES)
+        checked, lean = identity_suite(max_k, max_l, self.Q_VALUES, full=False)
+        assert lean == [e for e in full if not e["holds"]]
+        assert {e["identity"] for e in lean} == failing
+        identities = [e["identity"] for e in full]
+        assert checked == checked_full == {i: identities.count(i) for i in identities}
 
     def test_sweeps_each_distinct_table_once(self, monkeypatch):
         calls = []
@@ -498,22 +519,32 @@ class TestVerifyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "a4f2fc4e394a45edb2f3c6ac98b6f1b82b3642ece5322015cba2e3c8fcbeb1e4"
 
-    @pytest.mark.parametrize("perturb", [lambda z: 2 * z, lambda z: LaurentPoly.q_power(1) * z],
-                             ids=["shape", "valuation"])
-    def test_failing_translation_checks(self, capsys, monkeypatch, perturb):
-        # one shifted table, the one from (1, 2), reads every cell perturbed
+    def test_all_hold_report_bytes(self, capsys):
+        # the report without --full: the summary's counts and an empty failures list
+        code, out, _ = run(capsys, "verify", "--max-K", "2", "--max-L", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "fb7e8db985179affc49d5e84f963cdf789fba0bf68b57bfc3632b96574d266ac"
+
+    @pytest.mark.parametrize("perturb_packed, perturb", [
+        (lambda n: 2 * n, lambda z: 2 * z),
+        (lambda n: n << partition.TF_WIDTH, lambda z: LaurentPoly.q_power(1) * z),
+    ], ids=["shape", "valuation"])
+    def test_failing_translation_checks(self, capsys, monkeypatch, perturb_packed, perturb):
+        # one shifted table, the one from (1, 2), holds every packed cell perturbed: as
+        # 2 Z or q Z.  Its cells have at most C(5, 2) = 10 paths, so 2 Z stays under 2^7
         shifted_start = Point(1, 2)
-        real = partition.forward_table
+        real = partition._translation_table
 
-        def perturbed(scheme, start, end, q0=None):
-            table = real(scheme, start, end, q0)
+        def perturbed(start, end):
+            table, low = real(start, end)
             if (start, end) == (shifted_start, Point(4, 4)):
-                decode = table._decode
-                table._decode = lambda n, a: perturb(decode(n, a))
-            return table
+                table.values = {p: perturb_packed(n) for p, n in table.values.items()}
+            return table, low
 
-        monkeypatch.setattr(partition, "forward_table", perturbed)
-        entries = [e for e in identity_suite(1, 0, [Fraction(1, 2)]) if e["identity"] == "TF"]
+        monkeypatch.setattr(partition, "_translation_table", perturbed)
+        _, entries = identity_suite(1, 0, [Fraction(1, 2)])
+        entries = [e for e in entries if e["identity"] == "TF"]
         named = {str(Point(i, j)): Point(i, j) for i in range(-2, 3) for j in range(-2, 3)}
         failing = []
         for e in entries:
@@ -658,14 +689,14 @@ class TestCleanExits:
     def test_verify_internal_failure_prints_nothing(self, capsys, monkeypatch):
         # the translation tables are the suite's last sweeps; every pinned
         # entry is computed before one of them fails
-        real = partition.forward_table
+        real = partition._translation_table
 
-        def failing(scheme, start, end, q0=None):
+        def failing(start, end):
             if end == Point(2, 2):
                 raise partition.InternalIdentityFailure("injected")
-            return real(scheme, start, end, q0)
+            return real(start, end)
 
-        monkeypatch.setattr(partition, "forward_table", failing)
+        monkeypatch.setattr(partition, "_translation_table", failing)
         code, out, err = run(capsys, "verify", "--max-K", "1", "--max-L", "1")
         assert (code, out, err) == (1, "", "error: internal identity failed: injected\n")
 

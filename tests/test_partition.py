@@ -23,7 +23,7 @@ from spinpaths import (CorrelationQuery, CustomTable, InterfaceXXZ, LaurentPoly,
 from spinpaths import partition
 from spinpaths.lattice import H_STEP, V_STEP, horizontal_bond
 from spinpaths.partition import rec1_sides, rec2_rhs
-from spinpaths.qpoly import ZERO
+from spinpaths.qpoly import ZERO, pack
 from sweep_reference import fixed_q_values, reference_convolution, reference_tables
 
 ORIGIN = Point(0, 0)
@@ -490,6 +490,24 @@ class TestTranslation:
                 for ref in pts:
                     if ref.i <= start.i and ref.j <= start.j:
                         assert translated_interface(start, end, ref) == direct
+
+    @settings(max_examples=60, deadline=None)
+    @given(corner=st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
+           steps=st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    # 4x4 steps hold the largest coefficient, 8; 3-bit slots would carry there
+    @example(corner=(-3, -3), steps=(4, 4))
+    def test_packed_keys_match_the_enumeration(self, corner, steps):
+        # corners in [-3, 4]^2 and at most 4x4 steps, so C(8, 4) = 70 paths bound
+        # every coefficient under 2^7
+        start = Point(*corner)
+        end = Point(min(start.i + steps[0], 4), min(start.j + steps[1], 4))
+        keys = partition._cell_keys(*partition._translation_table(start, end))
+        assert set(keys) == {(i, j) for i in range(start.i, end.i + 1)
+                             for j in range(start.j, end.j + 1)}
+        for cell, (v, shape) in keys.items():
+            z = partition_bruteforce(InterfaceXXZ(), start, Point(*cell))
+            assert v == z.valuation()
+            assert shape == pack(z.items(), partition.TF_WIDTH, 1, v), cell
 
 
 class TestSphereDecomposition:
