@@ -106,9 +106,9 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     offset by a*V, and an encoded weight is stored as (m, k), the int
     m << k with m odd, so a product by a power of 2, such as a monomial's
     code, is a shift.
-    - Polynomials (Kronecker substitution): offset exponents are strided by
-      g, their gcd, and q^e goes to the w-bit slot (e - V) / g, w the bit
-      length of C(n+m, n), the path count, so the code is (1, w * (e - V) / g).
+    - Polynomials (Kronecker substitution): every named e is even, and q^e
+      goes to the w-bit slot (e - V) / 2, the code (1, w * (e - V) / 2), w
+      the bit length of C(n+m, n), the path count.
     - At q0 = p/r the code is p^(e - V) * r^(D - e), the weight times the
       int S = p^(-V) * r^D, and the value above reads N / S^a.
     An empty rectangle has no codes, and its decode reads every int as the
@@ -128,12 +128,9 @@ def _encoding(scheme: WeightScheme, start: Point, end: Point, q0: Fraction | Non
     exps = [scheme.h_exponent(s + 1) for s in range(i0 + j0, i1 + j1)] if di else [0] * dj
     low, high = min([0, *exps]), max([0, *exps])
     if q0 is None:
-        # not gcd(*...): CPython 3.11 keeps each freed *args tuple of a new
-        # length on its free list, and the peak memory of a long run creeps
-        stride = functools.reduce(math.gcd, [e - low for e in exps], 0) or 1
         width = math.comb(di + dj, di).bit_length()
-        return ([(1, width * (e - low) // stride) for e in exps],
-                lambda n, a: unpack(n, width, stride, a * low))
+        return ([(1, width * (e - low) // 2) for e in exps],
+                lambda n, a: unpack(n, width, 2, a * low))
     p, r = q0.numerator, q0.denominator
     if p == 0 and low < 0:
         raise ZeroToNegativePower("negative power of q at q = 0")
@@ -359,15 +356,10 @@ def rec1_sides(inst: PinnedInstance) -> tuple[LaurentPoly, LaurentPoly]:
     of (N, M).  This holds because the last sphere's horizontal weights
     are 1; see rec1_readings for the alternative reading.
     """
-    if inst.N < 1 or inst.M < 1:
-        raise ValueError("rec1 needs N >= 1 and M >= 1")
-    return _rec1_sides(forward_table(PinnedRep1(K=inst.K, L=inst.L), ORIGIN,
-                                     Point(inst.N, inst.M)), inst)
-
-
-def _rec1_sides(table: PartitionTable, inst: PinnedInstance) -> tuple[LaurentPoly, LaurentPoly]:
-    """rec1_sides read from the instance's rep1 forward table."""
     N, M = inst.N, inst.M
+    if N < 1 or M < 1:
+        raise ValueError("rec1 needs N >= 1 and M >= 1")
+    table = forward_table(PinnedRep1(K=inst.K, L=inst.L), ORIGIN, Point(N, M))
     return table[Point(N, M)], table[Point(N - 1, M)] + table[Point(N, M - 1)]
 
 
@@ -493,25 +485,41 @@ def _report_entry(identity: str, params: dict, holds: bool, lhs, rhs) -> dict:
 TF_WIDTH = math.comb(8, 4).bit_length()
 
 
-def _translation_table(start: Point, end: Point) -> tuple[PartitionTable, int]:
-    """The interface forward table over [start, end] packed at TF_WIDTH bits and
-    stride 1, with the offset low of its exponents (see _encoding): a cell n that
-    spans a horizontal steps is unpack(n, TF_WIDTH, 1, a * low)."""
-    exps = [InterfaceXXZ().h_exponent(s + 1) for s in range(start.i + start.j, end.i + end.j)]
-    low = min([0, *exps])
-    return PartitionTable([(1, TF_WIDTH * (e - low)) for e in exps],
-                          lambda n, a: unpack(n, TF_WIDTH, 1, a * low), start, end, 1), low
-
-
-def _cell_keys(table: PartitionTable, low: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """Per cell of a _translation_table, none of them 0: its valuation and its shape,
-    the packed int from its lowest nonzero slot, tz, up.  Two cells are one
-    polynomial times q^k iff their shapes are equal and their valuations k apart."""
+def _translation_keys(start: Point, end: Point) -> tuple[PartitionTable, dict]:
+    """The interface forward table over [start, end], encoded at TF_WIDTH bits,
+    and per cell, none of them 0, its key: its valuation a * low + 2 * tz, for a
+    horizontal steps, q^low = decode(1, 1) and tz its lowest nonzero slot, and
+    its shape, the packed int from that slot up.  Two cells are one polynomial
+    times q^k iff their shapes are equal and their valuations k apart."""
+    # encoded over start's 4x4 square, whose path count sets TF_WIDTH; codes past end go unread
+    codes, decode = _encoding(InterfaceXXZ(), start, start.translate(4, 4), None)
+    table = PartitionTable(codes, decode, start, end, 1)
+    low = decode(1, 1).valuation()
     keys = {}
     for (i, j), n in table.values.items():
         tz = ((n & -n).bit_length() - 1) // TF_WIDTH
-        keys[i, j] = ((i - table.origin.i) * low + tz, n >> TF_WIDTH * tz)
-    return keys
+        keys[i, j] = ((i - start.i) * low + 2 * tz, n >> TF_WIDTH * tz)
+    return table, keys
+
+
+def _chain_sphere(K: int, L: int):
+    """Yields, per sector N = 0..S of the chain (K, L), S = K + L + 1, its pinned_rep1,
+    pinned_rep2 and, for 0 < N < S, rec1's right side, the rep1 cells (N-1, S-N) +
+    (N, S-1-N): index N, from i = 0, of the last two diagonals of a rep1 table from
+    the origin and of the last of pinned_rep2's to (S, K), both swept to the sphere S."""
+    S = K + L + 1
+    read = []
+    for scheme, start, end, last in ((PinnedRep1(K=K, L=L), ORIGIN, Point(S, S), 2),
+                                     (PinnedRep2(), Point(0, -L - 1), Point(S, K), 1)):
+        # encoded from start to the sphere's middle cell: its S tail diagonals are all
+        # the sweep reads, none past rep1's domain, and its path count sets the width
+        codes, decode = _encoding(scheme, start, start.translate(S - S // 2, S // 2), None)
+        sweep = PartitionTable(codes, decode, start, end, 1).sweep()
+        read += [(decode, cells) for _, _, cells in itertools.islice(sweep, S + 1 - last, S + 1)]
+    (read1, inner), (_, rep1), (read2, rep2) = read
+    for N in range(S + 1):
+        rhs = read1(inner[N - 1], N - 1) + read1(inner[N], N) if 0 < N < S else None
+        yield read1(rep1[N], N), read2(rep2[N], N), rhs
 
 
 def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
@@ -522,18 +530,18 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
     for an entry that is kept.
 
     Each distinct table is swept once per call; nothing outlives the call.
-    Per pinned instance, one rep1 forward table gives rep1 and both rec1
-    sides, through the helper rec1_sides uses, and the re-instanced readings
-    take rep1 of the smaller chains from earlier in the loop; rep2 serves
-    the norm, pf, rec2 and every ave entry, and one convolution serves pf and
-    rec2 (rec2_rhs is that sum).  When rep2 is the norm as a polynomial, ave
-    holds at every q, and only a kept entry evaluates it, once.
+    Per chain (K, L), _chain_sphere's two tables give rep1, rep2 and both
+    rec1 sides of every N, and the re-instanced readings take rep1 of the
+    smaller chains from earlier in the loop; rep2 serves the norm, pf, rec2
+    and every ave entry, and one convolution serves pf and rec2 (rec2_rhs is
+    that sum).  When rep2 is the norm as a polynomial, ave holds at every q,
+    and only a kept entry evaluates it, once.
     The convolution sums products of closed forms, each packed once at one
     width for the grid: the bit length of C(S, S // 2), S = max_k + max_l + 1.
-    The translation identity reads Z(start, end) from one _translation_table
-    per start in [-2, 2]^2 and every shifted Z from one per shifted start in
-    [0, 4]^2: 50 sweeps for 1 225 checks, each decided on the cells' keys
-    (see _cell_keys).  A negative max_k or max_l, or a q outside (0, 1), is
+    The translation identity reads Z(start, end) from one _translation_keys
+    table per start in [-2, 2]^2 and every shifted Z from one per shifted
+    start in [0, 4]^2: 50 sweeps for 1 225 checks, each decided on the
+    cells' keys.  A negative max_k or max_l, or a q outside (0, 1), is
     refused before any of that.
     """
     if max_k < 0 or max_l < 0:
@@ -553,14 +561,11 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
     rep1_of: dict[tuple[int, int, int], LaurentPoly] = {}   # (K, L, N) -> rep1
     for K in range(max_k + 1):
         for L in range(max_l + 1):
-            scheme = PinnedRep1(K=K, L=L)
-            for N in range(K + L + 2):
+            for N, (rep1, rep2, rhs) in enumerate(_chain_sphere(K, L)):
                 inst = PinnedInstance(K=K, L=L, N=N)
+                rep1_of[K, L, N] = rep1
                 params = {"K": K, "L": L, "N": N, "M": inst.M}
                 nsq = norm_squared(L, K, N)
-                rep1_table = forward_table(scheme, ORIGIN, Point(N, inst.M))
-                rep1 = rep1_of[K, L, N] = rep1_table[Point(N, inst.M)]
-                rep2 = pinned_rep2(inst)
                 same = nsq == rep2
                 holds = same and rep1 == rep2
                 record("norm-equality", holds,
@@ -570,12 +575,11 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
                 for name in ("pf", "rec2"):
                     record(name, holds, lambda: _report_entry(name, params, holds, rep2, conv))
                 if N >= 1 and inst.M >= 1:
-                    lhs, rhs = _rec1_sides(rep1_table, inst)
-                    holds = lhs == rhs
+                    holds = rep1 == rhs
                     record("rec1", holds, lambda: _report_entry(
                         "rec1", {**params, "reading": "fixed-weights", "alternative_readings":
                                  _reinstanced_readings(inst, rep1, lambda *key: rep1_of[key])},
-                        holds, lhs, rhs))
+                        holds, rep1, rhs))
                 for q0 in q_values:
                     # one polynomial agrees with itself at every q0
                     entry = _ave_entry(inst, q0, rep2, nsq, same) if full or not same else None
@@ -584,11 +588,9 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
     names = {p: str(p) for p in pts}
     shifted = {}   # s -> (table, its cell keys) for s in [0, 4]^2, every cell read
     for s in (Point(i, j) for i in range(5) for j in range(5)):
-        table, low = _translation_table(s, Point(4, 4))
-        shifted[s] = table, _cell_keys(table, low)
+        shifted[s] = _translation_keys(s, Point(4, 4))
     for start in pts:
-        table, low = _translation_table(start, Point(2, 2))
-        keys = _cell_keys(table, low)
+        table, keys = _translation_keys(start, Point(2, 2))
         direct = functools.cache(table.__getitem__)   # Z(start, end), decoded once if kept
         # per ref weakly below start: its name, its coordinates, 2(ref.i+ref.j),
         # and the shifted table with its cell keys

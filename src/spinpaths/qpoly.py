@@ -282,10 +282,6 @@ def numerator(terms: Collection[tuple[int, int]], p: int, r: int, lo: int, hi: i
     Horner's rule, from the top exponent down, so the powers of p are
     multiplied in as the exponents fall.
     """
-    if len(terms) == 1:
-        # a monomial, as most weights are: two powers, no sort
-        (e, c), = terms
-        return c * p ** (e - lo) * r ** (hi - e)
     num, r_pow, prev = 0, 1, hi
     for e, c in sorted(terms, reverse=True):
         r_pow *= r ** (prev - e)

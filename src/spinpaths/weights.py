@@ -5,7 +5,8 @@ the bond whose tail is (i, j), the point horizontal_bond/vertical_bond take.
 The named schemes weigh every vertical bond as 1, and a horizontal bond as
 q^h_exponent(s), s = i + 1 + j the diagonal of its right end (i+1, j), the
 head of the step; bond_weight derives from that int, and the sweep's encoder
-reads it once per diagonal.  A CustomTable has no such rule: the sweep
+reads it once per diagonal.  Every h_exponent is even, which the encoder's
+stride of 2 relies on.  A CustomTable has no such rule: the sweep
 refuses it, and path_weight and partition_bruteforce serve it.
 Path weights are the product of bond weights, so weights multiply under
 path concatenation.
@@ -30,7 +31,7 @@ class WeightScheme:
 
     name = "abstract"
     # a named scheme's h_exponent(s), the exponent of the horizontal weight on
-    # the head diagonal s; None for a scheme that the sweep refuses
+    # the head diagonal s, always even; None for a scheme that the sweep refuses
     h_exponent = None
 
     def bond_weight(self, i: int, j: int, orientation: str) -> LaurentPoly:

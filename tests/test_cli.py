@@ -449,11 +449,9 @@ class TestIdentitySuite:
 
         monkeypatch.setattr(partition, "_sweep", counted)
         identity_suite(1, 1, [Fraction(1, 2)])
-        instances = [PinnedInstance(K=K, L=L, N=N)
-                     for K in range(2) for L in range(2) for N in range(K + L + 2)]
-        # 50 translation tables, then per instance one rep1 and one rep2 table;
+        # per chain (K, L) one rep1 and one rep2 table, then 50 translation tables;
         # the slow path sweeps over 1 450 tables here
-        assert len(calls) <= 50 + 2 * len(instances)
+        assert len(calls) == 2 * 4 + 50
 
     @pytest.mark.parametrize("max_k, max_l, q_values, message", [
         (-1, 0, [Fraction(1, 2)], "max_K and max_L must be nonnegative, got -1 and 0"),
@@ -528,21 +526,25 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("perturb_packed, perturb", [
         (lambda n: 2 * n, lambda z: 2 * z),
-        (lambda n: n << partition.TF_WIDTH, lambda z: LaurentPoly.q_power(1) * z),
+        (lambda n: n << partition.TF_WIDTH, lambda z: LaurentPoly.q_power(2) * z),
     ], ids=["shape", "valuation"])
     def test_failing_translation_checks(self, capsys, monkeypatch, perturb_packed, perturb):
         # one shifted table, the one from (1, 2), holds every packed cell perturbed: as
-        # 2 Z or q Z.  Its cells have at most C(5, 2) = 10 paths, so 2 Z stays under 2^7
+        # 2 Z or q^2 Z (one slot up).  Its cells have at most C(5, 2) = 10 paths, so
+        # 2 Z stays under 2^7.  The table's keys are taken from the perturbed cells
         shifted_start = Point(1, 2)
-        real = partition._translation_table
+        real, real_sweep = partition._translation_keys, partition._sweep
 
         def perturbed(start, end):
-            table, low = real(start, end)
-            if (start, end) == (shifted_start, Point(4, 4)):
-                table.values = {p: perturb_packed(n) for p, n in table.values.items()}
-            return table, low
+            if (start, end) != (shifted_start, Point(4, 4)):
+                return real(start, end)
+            with monkeypatch.context() as m:
+                m.setattr(partition, "_sweep", lambda table: (
+                    (s, lo, [perturb_packed(n) for n in cells])
+                    for s, lo, cells in real_sweep(table)))
+                return real(start, end)
 
-        monkeypatch.setattr(partition, "_translation_table", perturbed)
+        monkeypatch.setattr(partition, "_translation_keys", perturbed)
         _, entries = identity_suite(1, 0, [Fraction(1, 2)])
         entries = [e for e in entries if e["identity"] == "TF"]
         named = {str(Point(i, j)): Point(i, j) for i in range(-2, 3) for j in range(-2, 3)}
@@ -689,14 +691,14 @@ class TestCleanExits:
     def test_verify_internal_failure_prints_nothing(self, capsys, monkeypatch):
         # the translation tables are the suite's last sweeps; every pinned
         # entry is computed before one of them fails
-        real = partition._translation_table
+        real = partition._translation_keys
 
         def failing(start, end):
             if end == Point(2, 2):
                 raise partition.InternalIdentityFailure("injected")
             return real(start, end)
 
-        monkeypatch.setattr(partition, "_translation_table", failing)
+        monkeypatch.setattr(partition, "_translation_keys", failing)
         code, out, err = run(capsys, "verify", "--max-K", "1", "--max-L", "1")
         assert (code, out, err) == (1, "", "error: internal identity failed: injected\n")
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinpaths import (CorrelationQuery, CustomTable, InterfaceXXZ, LaurentPoly,
+from spinpaths import (CorrelationQuery, CustomTable, InterfaceXXZ, LaurentPoly, OutOfDomain,
                        PinnedInstance, PinnedRep1, PinnedRep2, Point, SamplerState,
                        ZeroToNegativePower, backward_table, conditioned_partition,
                        crossing_probability, enumerate_paths,
@@ -501,13 +501,13 @@ class TestTranslation:
         # every coefficient under 2^7
         start = Point(*corner)
         end = Point(min(start.i + steps[0], 4), min(start.j + steps[1], 4))
-        keys = partition._cell_keys(*partition._translation_table(start, end))
+        _, keys = partition._translation_keys(start, end)
         assert set(keys) == {(i, j) for i in range(start.i, end.i + 1)
                              for j in range(start.j, end.j + 1)}
         for cell, (v, shape) in keys.items():
             z = partition_bruteforce(InterfaceXXZ(), start, Point(*cell))
             assert v == z.valuation()
-            assert shape == pack(z.items(), partition.TF_WIDTH, 1, v), cell
+            assert shape == pack(z.items(), partition.TF_WIDTH, 2, v), cell
 
 
 class TestSphereDecomposition:
@@ -706,6 +706,43 @@ class TestRec2:
             terms = [sphere_term(inst, n) for n in range(max(inst.K, inst.N) + 1)]
             assert terms == [convolution_term(inst, n) for n in range(len(terms))], inst
             assert rec2_rhs(inst) == sum(terms, ZERO), inst
+
+
+class TestChainSphere:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6))
+    def test_sphere_readings_match_each_instance(self, K, L):
+        # the two tables swept to the sphere against each sector's own rectangles
+        readings = list(partition._chain_sphere(K, L))
+        assert len(readings) == K + L + 2
+        for N, (rep1, rep2, rhs) in enumerate(readings):
+            inst = PinnedInstance(K=K, L=L, N=N)
+            assert rep1 == pinned_rep1(inst), (K, L, N)
+            assert rep2 == pinned_rep2(inst), (K, L, N)
+            if N >= 1 and inst.M >= 1:
+                assert (rep1, rhs) == rec1_sides(inst), (K, L, N)
+            else:
+                assert rhs is None
+
+    @pytest.mark.parametrize("K, L", [(0, 0), (2, 0), (0, 3), (4, 2)])
+    def test_rep1_is_asked_nothing_past_the_sphere(self, monkeypatch, K, L):
+        asked = []
+        real = PinnedRep1.h_exponent
+
+        def recorded(self, s):
+            asked.append(s)
+            return real(self, s)
+
+        monkeypatch.setattr(PinnedRep1, "h_exponent", recorded)
+        S = K + L + 1
+        list(partition._chain_sphere(K, L))
+        # once per head diagonal up to the sphere, and none past it
+        assert sorted(asked) == list(range(1, S + 1))
+        asked.clear()
+        # a table over the whole square builds every code, up front
+        with pytest.raises(OutOfDomain):
+            forward_table(PinnedRep1(K=K, L=L), ORIGIN, Point(S, S))
+        assert max(asked) == S + 1
 
 
 class TestPinningDistribution:

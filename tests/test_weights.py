@@ -57,6 +57,13 @@ class TestBondWeight:
         # a scheme without an exponent is one the sweep refuses
         assert CustomTable().h_exponent is None
 
+    @pytest.mark.parametrize("scheme", [InterfaceXXZ(), PinnedRep2(), PinnedRep1(K=0, L=0),
+                                        PinnedRep1(K=3, L=5), PinnedRep1(K=20, L=29)])
+    def test_every_named_exponent_is_even(self, scheme):
+        # the Kronecker encoder strides its slots by 2 on this rule
+        top = 50 if not isinstance(scheme, PinnedRep1) else scheme.K + scheme.L + 1
+        assert all(scheme.h_exponent(s) % 2 == 0 for s in range(-50, top + 1))
+
     def test_interface_rep1_agree_inside_radius_k(self):
         interface, rep1 = InterfaceXXZ(), PinnedRep1(K=4, L=2)
         for i in range(5):
