@@ -17,7 +17,7 @@ from typing import Callable
 
 from .lattice import Point, enumerate_paths
 from .qpoly import LaurentPoly, ZERO, ZeroToNegativePower, pack, unpack
-from .spin import PinnedInstance, check_q, norm_squared
+from .spin import PinnedInstance, chain_norms, check_q, norm_squared
 from .weights import InterfaceXXZ, PinnedRep1, PinnedRep2, WeightScheme
 
 ORIGIN = Point(0, 0)
@@ -485,28 +485,32 @@ def _report_entry(identity: str, params: dict, holds: bool, lhs, rhs) -> dict:
 TF_WIDTH = math.comb(8, 4).bit_length()
 
 
-def _translation_keys(start: Point, end: Point) -> tuple[PartitionTable, dict]:
-    """The interface forward table over [start, end], encoded at TF_WIDTH bits,
-    and per cell, none of them 0, its key: its valuation a * low + 2 * tz, for a
-    horizontal steps, q^low = decode(1, 1) and tz its lowest nonzero slot, and
-    its shape, the packed int from that slot up.  Two cells are one polynomial
-    times q^k iff their shapes are equal and their valuations k apart."""
+def _translation_keys(start: Point, end: Point) -> dict[tuple[int, int], int]:
+    """Per cell of the interface forward table over [start, end], encoded at
+    TF_WIDTH bits, its key by R = cell - start: its int shifted up by
+    R.i * (9 * TF_WIDTH - k) bits, 1 << k the code of a horizontal step off
+    start's diagonal.  A step with tail on the table's diagonal d, weighing
+    q^(2(start.i+start.j+1+d)), then fills slot 9 + d of a key whatever the
+    start (k <= 9 * TF_WIDTH for start.i + start.j <= 8).  So starts s and t have
+    equal keys at R iff Z(s, s + R) = q^(2(s.i+s.j-t.i-t.j)R.i) Z(t, t + R), and
+    a key reads as Z(s, s + R) by unpack at shift 2 R.i (s.i + s.j - 8)."""
     # encoded over start's 4x4 square, whose path count sets TF_WIDTH; codes past end go unread
     codes, decode = _encoding(InterfaceXXZ(), start, start.translate(4, 4), None)
-    table = PartitionTable(codes, decode, start, end, 1)
-    low = decode(1, 1).valuation()
-    keys = {}
-    for (i, j), n in table.values.items():
-        tz = ((n & -n).bit_length() - 1) // TF_WIDTH
-        keys[i, j] = ((i - start.i) * low + 2 * tz, n >> TF_WIDTH * tz)
-    return table, keys
+    per_step = 9 * TF_WIDTH - codes[0][1]
+    return {(i - start.i, s - i - start.j): n << (i - start.i) * per_step
+            for s, lo, cells in PartitionTable(codes, decode, start, end, 1).sweep()
+            for i, n in enumerate(cells, lo)}
 
 
 def _chain_sphere(K: int, L: int):
     """Yields, per sector N = 0..S of the chain (K, L), S = K + L + 1, its pinned_rep1,
-    pinned_rep2 and, for 0 < N < S, rec1's right side, the rep1 cells (N-1, S-N) +
-    (N, S-1-N): index N, from i = 0, of the last two diagonals of a rep1 table from
-    the origin and of the last of pinned_rep2's to (S, K), both swept to the sphere S."""
+    its pinned_rep2 and, for 0 < N < S, rec1 as (holds, rhs), rhs() its right side:
+    index N, from i = 0, of the last diagonal of a rep1 table from the origin and of
+    pinned_rep2's to (S, K), both swept to the sphere S, and the rep1 cells
+    (N-1, S-N) + (N, S-1-N), indices N - 1 and N of the diagonal before.  Every
+    PinnedRep1 exponent is >= 0 in its domain, so rep1's ints decode at offset 0,
+    and the bond onto the sphere weighs q^0: rec1 holds iff the cell's int is the
+    sum of the two inner ints, which carries no slot, as C(S, N) paths fit the width."""
     S = K + L + 1
     read = []
     for scheme, start, end, last in ((PinnedRep1(K=K, L=L), ORIGIN, Point(S, S), 2),
@@ -518,8 +522,9 @@ def _chain_sphere(K: int, L: int):
         read += [(decode, cells) for _, _, cells in itertools.islice(sweep, S + 1 - last, S + 1)]
     (read1, inner), (_, rep1), (read2, rep2) = read
     for N in range(S + 1):
-        rhs = read1(inner[N - 1], N - 1) + read1(inner[N], N) if 0 < N < S else None
-        yield read1(rep1[N], N), read2(rep2[N], N), rhs
+        rhs = inner[N - 1] + inner[N] if 0 < N < S else None
+        rec1 = None if rhs is None else (rep1[N] == rhs, functools.partial(read1, rhs, 0))
+        yield read1(rep1[N], N), read2(rep2[N], N), rec1
 
 
 def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
@@ -530,19 +535,20 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
     for an entry that is kept.
 
     Each distinct table is swept once per call; nothing outlives the call.
-    Per chain (K, L), _chain_sphere's two tables give rep1, rep2 and both
-    rec1 sides of every N, and the re-instanced readings take rep1 of the
-    smaller chains from earlier in the loop; rep2 serves the norm, pf, rec2
-    and every ave entry, and one convolution serves pf and rec2 (rec2_rhs is
-    that sum).  When rep2 is the norm as a polynomial, ave holds at every q,
-    and only a kept entry evaluates it, once.
+    Per chain (K, L), _chain_sphere's two tables give rep1, rep2 and rec1 of
+    every N, and one chain_norms pass its every norm; the re-instanced readings
+    take rep1 of the smaller chains from earlier in the loop.  rep2 serves the
+    norm, pf, rec2 and every ave entry, and one convolution serves pf and rec2
+    (rec2_rhs is that sum).  When rep2 is the norm as a polynomial, ave holds
+    at every q, and only a kept entry evaluates it, once.
     The convolution sums products of closed forms, each packed once at one
     width for the grid: the bit length of C(S, S // 2), S = max_k + max_l + 1.
     The translation identity reads Z(start, end) from one _translation_keys
     table per start in [-2, 2]^2 and every shifted Z from one per shifted
-    start in [0, 4]^2: 50 sweeps for 1 225 checks, each decided on the
-    cells' keys.  A negative max_k or max_l, or a q outside (0, 1), is
-    refused before any of that.
+    start in [0, 4]^2: 50 sweeps for 1 225 checks.  When every table has one
+    key at each relative position R, every check holds; otherwise, or when
+    full, each check compares two keys.  A negative max_k or max_l, or a q
+    outside (0, 1), is refused before any of that.
     """
     if max_k < 0 or max_l < 0:
         raise ValueError(f"max_K and max_L must be nonnegative, got {max_k} and {max_l}")
@@ -561,11 +567,12 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
     rep1_of: dict[tuple[int, int, int], LaurentPoly] = {}   # (K, L, N) -> rep1
     for K in range(max_k + 1):
         for L in range(max_l + 1):
-            for N, (rep1, rep2, rhs) in enumerate(_chain_sphere(K, L)):
+            norm_of = chain_norms(L, K, (K + L + 1) // 2)
+            for N, (rep1, rep2, rec1) in enumerate(_chain_sphere(K, L)):
                 inst = PinnedInstance(K=K, L=L, N=N)
                 rep1_of[K, L, N] = rep1
                 params = {"K": K, "L": L, "N": N, "M": inst.M}
-                nsq = norm_squared(L, K, N)
+                nsq = norm_of(N)
                 same = nsq == rep2
                 holds = same and rep1 == rep2
                 record("norm-equality", holds,
@@ -574,43 +581,43 @@ def identity_suite(max_k: int, max_l: int, q_values: list[Fraction],
                 holds = rep2 == conv
                 for name in ("pf", "rec2"):
                     record(name, holds, lambda: _report_entry(name, params, holds, rep2, conv))
-                if N >= 1 and inst.M >= 1:
-                    holds = rep1 == rhs
+                if rec1:
+                    holds, rhs = rec1
                     record("rec1", holds, lambda: _report_entry(
                         "rec1", {**params, "reading": "fixed-weights", "alternative_readings":
                                  _reinstanced_readings(inst, rep1, lambda *key: rep1_of[key])},
-                        holds, rep1, rhs))
+                        holds, rep1, rhs()))
                 for q0 in q_values:
                     # one polynomial agrees with itself at every q0
                     entry = _ave_entry(inst, q0, rep2, nsq, same) if full or not same else None
                     record("ave", same or entry["holds"], lambda: entry)
     pts = [Point(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    shifted = {(i, j): _translation_keys(Point(i, j), Point(4, 4))
+               for i in range(5) for j in range(5)}
+    direct = {start: _translation_keys(start, Point(2, 2)) for start in pts}
+    # per start (i, j): (3 - i)(3 - j) ends dominate it, (i + 3)(j + 3) refs lie below it
+    checked["TF"] = sum((3 - p.i) * (3 - p.j) * (p.i + 3) * (p.j + 3) for p in pts)
+    # shifted[0, 0] has every R: as many (R, key) pairs means one key per R, and all hold
+    cells = {cell for keys in (*shifted.values(), *direct.values()) for cell in keys.items()}
+    if not full and len(cells) == len(shifted[0, 0]):
+        return checked, entries
     names = {p: str(p) for p in pts}
-    shifted = {}   # s -> (table, its cell keys) for s in [0, 4]^2, every cell read
-    for s in (Point(i, j) for i in range(5) for j in range(5)):
-        shifted[s] = _translation_keys(s, Point(4, 4))
     for start in pts:
-        table, keys = _translation_keys(start, Point(2, 2))
-        direct = functools.cache(table.__getitem__)   # Z(start, end), decoded once if kept
-        # per ref weakly below start: its name, its coordinates, 2(ref.i+ref.j),
-        # and the shifted table with its cell keys
-        refs = [(names[ref], ref.i, ref.j, 2 * (ref.i + ref.j),
-                 *shifted[start.i - ref.i, start.j - ref.j])
+        refs = [(names[ref], shifted[start.i - ref.i, start.j - ref.j])
                 for ref in pts if ref.i <= start.i and ref.j <= start.j]
         for end in pts:
             if not end.dominates(start):
                 continue
-            v, shape = keys[end]
-            checked["TF"] = checked.get("TF", 0) + len(refs)
-            for name, ri, rj, step, cells, cell_keys in refs:
-                # q^k Z(start - ref, end - ref) equals Z(start, end) iff the two have
-                # one shape and valuations k apart; a check that holds shows Z twice
-                k = step * (end.i - start.i)
-                v_shifted, shape_shifted = cell_keys[end.i - ri, end.j - rj]
-                holds = v_shifted + k == v and shape_shifted == shape
+            R = end.i - start.i, end.j - start.j
+            key = direct[start][R]
+            # both keys read at start's shift, so the shifted one reads as q^k times its Z
+            shift = 2 * R[0] * (start.i + start.j - 8)
+            z = None   # Z(start, end), decoded once if kept; a check that holds shows it twice
+            for name, keys in refs:
+                holds = keys[R] == key
                 if full or not holds:
-                    z = direct(end)
+                    z = z or unpack(key, TF_WIDTH, 2, shift)
                     entries.append(_report_entry(
                         "TF", {"I": names[start], "F": names[end], "P": name}, holds, z,
-                        z if holds else LaurentPoly.q_power(k) * cells[end.i - ri, end.j - rj]))
+                        z if holds else unpack(keys[R], TF_WIDTH, 2, shift)))
     return checked, entries

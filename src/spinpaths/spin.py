@@ -139,16 +139,24 @@ def amplitude(config: SpinConfig) -> LaurentPoly:
 def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
     """Squared norm of the sector-N ground state: e_N of y_x = q^(2|x|) over
     the sites x in [-L, K] (I. G. Macdonald, Symmetric Functions and Hall
-    Polynomials, ch. I §2), built in one pass over the sites in int counts.
+    Polynomials, ch. I §2), from chain_norms' pass up to n = min(N, sites - N).
+    """
+    sites = PinnedInstance(K=K, L=L, N=N).sites
+    return chain_norms(L, K, min(N, sites - N))(N)
+
+
+def chain_norms(L: int, K: int, n: int) -> Callable[[int], LaurentPoly]:
+    """norm_squared(L, K, N) as a function of N, for every N within n of 0 or of
+    the sites, from one pass over the sites in int counts.
 
     The sites come in ascending |x|, merged from the ranges 0..K and 1..L,
     and e[k][d] counts the k-subsets of those so far whose |x| sum to d, for
-    k up to n = min(N, sites - N): held up spins leave the down spins the
-    rest of the sum, so one spin of either kind on 10^5 sites is one list of
-    10^5 counts.  When n = 0 the sector has one configuration and no pass runs.
+    k up to n.  Sector N reads e[min(N, sites - N)]: held up spins leave the
+    down spins the rest of the sum, so one spin of either kind on 10^5 sites
+    is one list of 10^5 counts.  When n = 0 no pass runs, and a pass past
+    NORM_ADDITION_LIMIT additions is refused before it starts.
     """
-    sites = PinnedInstance(K=K, L=L, N=N).sites
-    n = min(N, sites - N)
+    sites = K + L + 1
     # e[k - 1] spans at most (k - 1) max(K, L) + 1 exponents
     additions = sites * n * ((n - 1) * max(K, L) + 1)
     if additions > NORM_ADDITION_LIMIT:
@@ -163,7 +171,11 @@ def norm_squared(L: int, K: int, N: int) -> LaurentPoly:
             high += [0] * (top - len(high))
             high[d:top] = map(add, high[d:top], low)
     total = (L * (L + 1) + K * (K + 1)) // 2
-    return LaurentPoly({2 * (total - d if n < N else d): c for d, c in enumerate(e[n])})
+
+    def norm(N: int) -> LaurentPoly:
+        k = min(N, sites - N)
+        return LaurentPoly({2 * (total - d if k < N else d): c for d, c in enumerate(e[k])})
+    return norm
 
 
 # -- spin <-> path bijections -------------------------------------------------

@@ -220,6 +220,16 @@ class TestNormCommand:
         assert (code, out) == (2, "")
         assert err == "error: 20000000000 additions exceeds 100000000\n"
 
+    def test_balanced_sector_past_the_limit(self, capsys, monkeypatch):
+        # 201 sites x 100 held spins x up to 9 901 exponents per addition
+        def refuse(*args):
+            raise AssertionError("the pass started past the guard")
+
+        monkeypatch.setattr(spin, "add", refuse)
+        code, out, err = run(capsys, "norm", "-K", "100", "-L", "100", "-N", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: 199010100 additions exceeds 100000000\n"
+
 
 class TestCorrelateCommand:
     def test_probability(self, capsys):
@@ -421,17 +431,19 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("inject, failing", [
         (None, set()),
-        ("_convolution", {"pf", "rec2"}),
-        # the norm then differs from rep2 as a polynomial, and ave evaluates both
-        ("norm_squared", {"norm-equality", "ave"}),
+        (("_convolution", lambda conv: lambda *args: conv(*args) + 1), {"pf", "rec2"}),
+        # the norm then differs from rep2 as a polynomial, and ave evaluates both;
+        # the suite reads every norm of a chain from one chain_norms pass
+        (("chain_norms", lambda norms: lambda *args: lambda N: norms(*args)(N) + 1),
+         {"norm-equality", "ave"}),
     ], ids=["all-hold", "convolution", "norm"])
     @pytest.mark.parametrize("max_k", range(3))
     @pytest.mark.parametrize("max_l", range(3))
     def test_lean_run_keeps_the_failures_of_the_full_one(self, monkeypatch, max_k, max_l,
                                                          inject, failing):
         if inject:
-            real = getattr(partition, inject)
-            monkeypatch.setattr(partition, inject, lambda *args: real(*args) + 1)
+            name, fake = inject
+            monkeypatch.setattr(partition, name, fake(getattr(partition, name)))
         checked_full, full = identity_suite(max_k, max_l, self.Q_VALUES)
         checked, lean = identity_suite(max_k, max_l, self.Q_VALUES, full=False)
         assert lean == [e for e in full if not e["holds"]]
@@ -452,6 +464,83 @@ class TestIdentitySuite:
         # per chain (K, L) one rep1 and one rep2 table, then 50 translation tables;
         # the slow path sweeps over 1 450 tables here
         assert len(calls) == 2 * 4 + 50
+
+    @pytest.mark.parametrize("table_start, table_end", [
+        (Point(-1, 0), Point(2, 2)), (Point(1, 2), Point(4, 4)),
+    ], ids=["direct", "shifted"])
+    def test_one_perturbed_translation_cell(self, monkeypatch, table_start, table_end):
+        # one table's cell at R = (1, 1) from its start holds 2 Z; 2 paths reach it,
+        # so 2 Z fits its 7-bit slots.  The sweep goes on from the true cells
+        cell = table_start.translate(1, 1)
+        real = partition._sweep
+
+        def perturbed(table):
+            for s, lo, cells in real(table):
+                if (table._start, table._end, s) == (table_start, table_end, cell.i + cell.j):
+                    cells = [2 * n if i == cell.i else n for i, n in enumerate(cells, lo)]
+                yield s, lo, cells
+
+        monkeypatch.setattr(partition, "_sweep", perturbed)
+        checked, full = identity_suite(0, 0, [Fraction(1, 2)])
+        checked_lean, lean = identity_suite(0, 0, [Fraction(1, 2)], full=False)
+        assert checked["TF"] == checked_lean["TF"] == 1225
+        assert lean == [e for e in full if not e["holds"]]
+        named = {str(Point(i, j)): Point(i, j) for i in range(-2, 3) for j in range(-2, 3)}
+        direct = table_end == Point(2, 2)
+        failing = []
+        for e in full:
+            if e["identity"] != "TF":
+                assert e["holds"]
+                continue
+            start, end, ref = (named[e["parameters"][k]] for k in "IFP")
+            read = start if direct else Point(start.i - ref.i, start.j - ref.j)
+            reads_cell = read == table_start and end == start.translate(1, 1)
+            assert e["holds"] is not reads_cell, e["parameters"]
+            if reads_cell:
+                failing.append(e)
+                z = partition.partition_bruteforce(InterfaceXXZ(), start, end)
+                assert (e["lhs"], e["rhs"]) == ((2 * z, z) if direct else (z, 2 * z))
+        # the refs below the direct start, or the starts above the shifted one
+        assert len(failing) == len(lean) == 6
+
+    def test_one_perturbed_inner_rep1_cell(self, monkeypatch):
+        # chain (4, 0), S = 5: its rep1 table is the only one from the origin to
+        # (5, 5).  Its diagonal S - 1 holds rec1's inner cells; the one at i = 2
+        # gains 1, in its q^0 slot, and the sweep goes on from the true cells
+        real = partition._sweep
+
+        def perturbed(table):
+            for s, lo, cells in real(table):
+                if (table._start, table._end, s) == (Point(0, 0), Point(5, 5), 4):
+                    cells = [n + (i == 2) for i, n in enumerate(cells, lo)]
+                yield s, lo, cells
+
+        monkeypatch.setattr(partition, "_sweep", perturbed)
+        _, full = identity_suite(4, 0, [Fraction(1, 2)])
+        _, lean = identity_suite(4, 0, [Fraction(1, 2)], full=False)
+        assert lean == [e for e in full if not e["holds"]]
+        assert [(e["identity"], e["parameters"]["K"], e["parameters"]["L"],
+                 e["parameters"]["N"]) for e in lean] == [("rec1", 4, 0, 2), ("rec1", 4, 0, 3)]
+        for e in lean:
+            lhs, rhs = partition.rec1_sides(PinnedInstance(K=4, L=0, N=e["parameters"]["N"]))
+            assert (e["lhs"], e["rhs"]) == (lhs, rhs + 1)
+
+    def test_no_translation_side_is_decoded_when_every_check_holds(self, monkeypatch):
+        # no other table of a 1x1 grid has TF_WIDTH-bit slots
+        decoded = []
+        real = partition.unpack
+
+        def recorded(n, width, stride, shift):
+            if width == partition.TF_WIDTH:
+                decoded.append(n)
+            return real(n, width, stride, shift)
+
+        monkeypatch.setattr(partition, "unpack", recorded)
+        checked, entries = identity_suite(1, 1, [Fraction(1, 2)], full=False)
+        assert (checked["TF"], entries, decoded) == (1225, [], [])
+        identity_suite(1, 1, [Fraction(1, 2)])
+        # a full run decodes Z(start, end) once per start and end, for every ref
+        assert len(decoded) == 225
 
     @pytest.mark.parametrize("max_k, max_l, q_values, message", [
         (-1, 0, [Fraction(1, 2)], "max_K and max_L must be nonnegative, got -1 and 0"),

@@ -501,13 +501,16 @@ class TestTranslation:
         # every coefficient under 2^7
         start = Point(*corner)
         end = Point(min(start.i + steps[0], 4), min(start.j + steps[1], 4))
-        _, keys = partition._translation_keys(start, end)
-        assert set(keys) == {(i, j) for i in range(start.i, end.i + 1)
-                             for j in range(start.j, end.j + 1)}
-        for cell, (v, shape) in keys.items():
-            z = partition_bruteforce(InterfaceXXZ(), start, Point(*cell))
-            assert v == z.valuation()
-            assert shape == pack(z.items(), partition.TF_WIDTH, 2, v), cell
+        keys = partition._translation_keys(start, end)
+        assert set(keys) == {(a, b) for a in range(end.i - start.i + 1)
+                             for b in range(end.j - start.j + 1)}
+        # a key by R = cell - start is one int whatever the start
+        origin = partition._translation_keys(Point(0, 0), Point(4, 4))
+        for (a, b), key in keys.items():
+            z = partition_bruteforce(InterfaceXXZ(), start, start.translate(a, b))
+            shift = 2 * a * (start.i + start.j - 8)
+            assert key == pack(z.items(), partition.TF_WIDTH, 2, shift), (a, b)
+            assert key == origin[a, b], (a, b)
 
 
 class TestSphereDecomposition:
@@ -715,14 +718,23 @@ class TestChainSphere:
         # the two tables swept to the sphere against each sector's own rectangles
         readings = list(partition._chain_sphere(K, L))
         assert len(readings) == K + L + 2
-        for N, (rep1, rep2, rhs) in enumerate(readings):
+        for N, (rep1, rep2, rec1) in enumerate(readings):
             inst = PinnedInstance(K=K, L=L, N=N)
             assert rep1 == pinned_rep1(inst), (K, L, N)
             assert rep2 == pinned_rep2(inst), (K, L, N)
             if N >= 1 and inst.M >= 1:
-                assert (rep1, rhs) == rec1_sides(inst), (K, L, N)
+                holds, rhs = rec1
+                assert holds is True
+                assert (rep1, rhs()) == rec1_sides(inst), (K, L, N)
             else:
-                assert rhs is None
+                assert rec1 is None
+
+    @pytest.mark.parametrize("K, L", [(0, 0), (3, 0), (0, 4), (5, 2)])
+    def test_rep1_weighs_no_negative_power(self, K, L):
+        # _chain_sphere compares rec1 on packed ints: that holds while no rep1 exponent
+        # in its domain is negative, and the bond onto the sphere weighs q^0
+        scheme = PinnedRep1(K=K, L=L)
+        assert min(scheme.h_exponent(s) for s in range(1, K + L + 2)) == 0
 
     @pytest.mark.parametrize("K, L", [(0, 0), (2, 0), (0, 3), (4, 2)])
     def test_rep1_is_asked_nothing_past_the_sphere(self, monkeypatch, K, L):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinpaths import (EnsembleTooLarge, LaurentPoly, PinnedRep1, PinnedRep2,
                        Point, SpinConfig, amplitude, build_hamiltonian,
@@ -127,6 +128,25 @@ class TestNormSquared:
 
         monkeypatch.setattr(spin, "_positions", refuse)
         assert norm_squared(0, 21, 11) == pinned_rep1(PinnedInstance(K=21, L=0, N=11))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10), st.integers(0, 10))
+    def test_chain_pass_matches_each_sector(self, L, K):
+        # identity_suite reads every sector from one pass per chain
+        sites = L + K + 1
+        norms = spin.chain_norms(L, K, sites // 2)
+        for N in range(sites + 1):
+            assert norms(N) == norm_squared(L, K, N), (L, K, N)
+
+    def test_chain_pass_matches_per_configuration_sum(self):
+        # every chain of at most 9 sites
+        for L in range(9):
+            for K in range(9 - L):
+                norms = spin.chain_norms(L, K, (L + K + 1) // 2)
+                for N in range(L + K + 2):
+                    exponents = Counter(2 * amplitude(config).degree()
+                                        for config in sector_configs(L, K, N))
+                    assert norms(N) == LaurentPoly(exponents), (L, K, N)
 
     def test_invalid_sector(self):
         with pytest.raises(ValueError, match="N must lie"):
